@@ -161,6 +161,22 @@ class SpadeClient:
         """Cost accounting of the most recent maintenance pass."""
         return self._engine.last_stats
 
+    @property
+    def _maintained_is_static(self) -> bool:
+        """Whether the maintained sequence is the one a static peel finds.
+
+        True for semantics whose edge weight is a function of the update
+        alone (DG, DW): on exactly representable weights, incremental
+        maintenance and a fresh peel of the same graph produce the same
+        sequence.  False for ``recompute_on_insert`` semantics (FD): the
+        ``1 / log(degree + c)`` weights tie in real arithmetic and not in
+        floating point, the two paths sum them in different orders, and
+        the maintained sequence — a valid peeling sequence either way —
+        can end at a community whose density is percent away from the
+        fresh peel's, in either direction.
+        """
+        return not self._engine.semantics.recompute_on_insert
+
     def pending_edges(self) -> int:
         """Deferred work: benign buffers plus any cross-shard queue."""
         return self._engine.pending_edges()
@@ -262,8 +278,10 @@ class SpadeClient:
         ``flush_pending``), so the resulting engine state — and the
         returned community — is bit-identical to the equivalent sequence
         of legacy calls.  The report's community is the view after the
-        last event: exact for a single engine, the shard-local lower
-        bound for a sharded one (``report.exact`` says which).
+        last event: a single engine's maintained sequence, the
+        shard-local lower bound for a sharded one.  ``report.exact`` says
+        whether that is also what a static peel of the graph returns
+        (not for a shard-local view, and not under FD).
         """
         engine = self._engine
         outcomes = []
@@ -313,7 +331,7 @@ class SpadeClient:
             community,
             outcomes=tuple(outcomes),
             stats=merged,
-            exact=self.shards == 1,
+            exact=self.shards == 1 and self._maintained_is_static,
             elapsed=elapsed,
         )
 
@@ -325,8 +343,9 @@ class SpadeClient:
 
         For a sharded engine this runs the coordinator pass and the merged
         global peel, so it is always the exact community regardless of the
-        per-update shard-local views.  ``include_result=True`` attaches
-        the full peeling sequence export.
+        per-update shard-local views; a single engine answers from its
+        maintained sequence (``report.exact`` as for :meth:`apply`).
+        ``include_result=True`` attaches the full peeling sequence export.
         """
         began = time.perf_counter()
         if include_result:
@@ -336,7 +355,12 @@ class SpadeClient:
             result = None
             community = self._engine.detect()
         elapsed = time.perf_counter() - began
-        return self._report(community, result=result, exact=True, elapsed=elapsed)
+        return self._report(
+            community,
+            result=result,
+            exact=self.shards > 1 or self._maintained_is_static,
+            elapsed=elapsed,
+        )
 
     def flush(self) -> DetectionReport:
         """Force-flush deferred work; equivalent to ``apply([Flush()])``."""

@@ -42,8 +42,9 @@ class EngineConfig:
         default).
     static:
         Static-peel method for from-scratch baselines (``"heap"`` /
-        ``"csr"``).  Consulted by the bench harness and the snapshot
-        path; the incremental engine is unaffected.
+        ``"csr"``).  Consulted by the bench harness only: the engine's
+        load peel and the serving layer's snapshot peels are always
+        ``peel_csr``.
     shards:
         Number of shard engines (1 = single ``Spade``; > 1 builds a
         hash-partitioned :class:`~repro.engine.ShardedSpade`).

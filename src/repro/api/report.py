@@ -28,7 +28,7 @@ class EventOutcome:
     """What one applied event did to the engine.
 
     ``density`` / ``community_size`` describe the community returned right
-    after the event — the exact view for a single engine, the shard-local
+    after the event — a single engine's maintained view, the shard-local
     lower bound for a sharded one (see ``DetectionReport.exact``).
     """
 
@@ -64,8 +64,11 @@ class DetectionReport:
     backend: str = "dict"
     #: Number of shard engines (1 = single engine).
     shards: int = 1
-    #: Whether ``community`` is the exact global detection (True) or a
-    #: sharded engine's shard-local lower-bound view (False).
+    #: Whether ``community`` is what a static peel of the engine's graph
+    #: returns (True).  False for a sharded engine's shard-local
+    #: lower-bound view, and for a single engine under FD, whose
+    #: maintained sequence is a valid peeling sequence that float ties can
+    #: take to a different community than a fresh peel.
     exact: bool = True
     #: Wall-clock seconds spent inside the engine for this call.
     elapsed_seconds: float = 0.0
@@ -111,7 +114,12 @@ class DetectionReport:
 
     def summary(self) -> str:
         """Return a one-line human-readable summary."""
-        view = "exact" if self.exact else f"shard-local ({self.shards} shards)"
+        if self.exact:
+            view = "exact"
+        elif self.shards > 1:
+            view = f"shard-local ({self.shards} shards)"
+        else:
+            view = "maintained"
         return (
             f"{self.semantics}/{self.backend}: community of "
             f"{len(self.community.vertices)} vertices at density "

@@ -6,7 +6,7 @@ workload generator, then measures the two hot paths of
 
 * ``asof`` — cold versus cached ``GET /v1/detect?asof=SEQ`` latency.  A
   cold read pays checkpoint load + WAL-suffix replay + freeze
-  (:meth:`AsofService.snapshot_at` with an empty cache); a cached read is
+  (:meth:`AsofService.state_at` with an empty cache); a cached read is
   an LRU hit on the frozen snapshot.  The sample sequences are spread
   evenly across the WAL, so the cold numbers average short and long
   replay suffixes the way a forensic workload would;
@@ -108,14 +108,14 @@ def run_history_bench(
         cold: List[float] = []
         for seq in seqs:
             began = time.perf_counter()
-            service.snapshot_at(seq, head)
+            service.state_at(seq, head)
             cold.append(time.perf_counter() - began)
 
         # Phase 2: the same sequences again — every read is an LRU hit.
         cached: List[float] = []
         for seq in seqs:
             began = time.perf_counter()
-            service.snapshot_at(seq, head)
+            service.state_at(seq, head)
             cached.append(time.perf_counter() - began)
         if service.hits != len(seqs):
             failures.append(

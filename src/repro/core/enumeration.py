@@ -23,13 +23,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.core.state import PeelingState
 from repro.graph.graph import DynamicGraph, Vertex
-from repro.peeling.result import PeelingResult
+from repro.peeling.result import PeelingResult, best_suffix
 from repro.peeling.semantics import subset_density
-from repro.peeling.static import peel_subset, peel_subset_csr
+from repro.peeling.static import peel_csr_ids, peel_subset, peel_subset_csr
 
 __all__ = [
     "CommunityInstance",
@@ -153,26 +155,39 @@ def _subset_density_csr(snapshot, subset: Set[Vertex]) -> float:
     :func:`repro.peeling.semantics.subset_suspiciousness` — per vertex of
     ``set(subset)``, prior first, then out-neighbors in pool order — so an
     enumeration over a snapshot reports the same densities as one over the
-    live graph it froze.
+    live graph it froze.  The values are laid out in that order with numpy
+    (an edge leaving the subset contributes ``0.0``, which adds exactly)
+    and summed by ``cumsum``, a strict left-to-right scan: the same float
+    additions as the scalar loop, without a python step per edge.
     """
     if not subset:
         return 0.0
     members = set(subset)
-    out_offsets = snapshot.out_offsets
-    out_neighbors = snapshot.out_neighbors
-    out_weights = snapshot.out_weights
-    vertex_weights = snapshot.vertex_weights
-    labels = snapshot.labels
-    total = 0.0
-    for vertex in members:
-        vid = snapshot.id_of(vertex)
-        if vid < 0 or not snapshot.member[vid]:
-            continue
-        total += float(vertex_weights[vid])
-        for pos in range(int(out_offsets[vid]), int(out_offsets[vid + 1])):
-            if labels[int(out_neighbors[pos])] in members:
-                total += float(out_weights[pos])
-    return total / len(subset)
+    vids = np.fromiter(
+        (snapshot.id_of(vertex) for vertex in members), dtype=np.int64, count=len(members)
+    )
+    vids = vids[vids >= 0]
+    vids = vids[snapshot.member[vids]]
+    if not len(vids):
+        return 0.0
+    in_subset = np.zeros(snapshot.num_ids, dtype=bool)
+    in_subset[vids] = True
+    # Layout: per vertex one slot for its prior, then one per out-edge.
+    starts = snapshot.out_offsets[vids]
+    counts = snapshot.out_offsets[vids + 1] - starts
+    edges_before = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    prior_slots = edges_before + np.arange(len(vids))
+    positions = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        starts - edges_before, counts
+    )
+    values = np.empty(len(positions) + len(vids), dtype=np.float64)
+    edge_slots = np.ones(len(values), dtype=bool)
+    edge_slots[prior_slots] = False
+    values[prior_slots] = snapshot.vertex_weights[vids]
+    values[edge_slots] = np.where(
+        in_subset[snapshot.out_neighbors[positions]], snapshot.out_weights[positions], 0.0
+    )
+    return float(np.cumsum(values)[-1]) / len(subset)
 
 
 def enumerate_csr(
@@ -181,24 +196,43 @@ def enumerate_csr(
     min_density: float = 0.0,
     min_size: int = 2,
     semantics_name: str = "custom",
+    first: Optional[AbstractSet[Vertex]] = None,
 ) -> List[CommunityInstance]:
     """Enumerate dense communities from an immutable CSR snapshot alone.
 
     The read-isolated twin of :func:`enumerate_communities`: the serving
     layer answers ``GET /v1/communities`` from a frozen
     :class:`~repro.graph.csr.CsrSnapshot` while the writer keeps mutating
-    the live graph.  The loop is the same report-remove-repeel cycle; the
-    first community comes from a fresh peel rather than the maintained
-    sequence, which is identical for the exactly-maintained semantics
-    (DG / DW — the property the serve consistency tests pin).
+    the live graph.  The loop is the same report-remove-repeel cycle, with
+    the shrinking remainder kept as a dense-id array so a re-peel costs no
+    label translation (it runs in a reader thread beside the writer; what
+    it does in python, it does holding the interpreter lock).  Labels
+    appear only for the reported community, built into the same set the
+    label path builds so densities match it bit for bit.
+    ``semantics_name`` is unused — no :class:`PeelingResult` is built —
+    and stays only because ``benchmarks/ledger``'s probe passes it.
+
+    ``first`` is the same seed :func:`enumerate_communities` takes from a
+    :class:`PeelingState`: the community of the whole snapshot, when the
+    caller already holds it (an engine's exact detection of the graph
+    this snapshot froze — ``DetectionReport.exact``).  Rank 0 then costs
+    no whole-graph peel; without it rank 0 comes from a fresh peel, which
+    finds the same set.
     """
     if snapshot.labels is None:
         raise ValueError("enumerate_csr needs a snapshot saved with labels")
+    remaining_ids = np.sort(np.asarray(snapshot.order, dtype=np.int32))
     remaining: Set[Vertex] = set(snapshot.labels_for(snapshot.order))
     instances: List[CommunityInstance] = []
     while remaining and len(instances) < max_instances:
-        result = peel_subset_csr(snapshot, remaining, semantics_name=semantics_name)
-        community = set(result.community) & remaining
+        if first is not None:
+            peeled: AbstractSet[Vertex] = first
+            first = None
+        else:
+            order_ids, weights, total = peel_csr_ids(snapshot, remaining_ids)
+            best_k, _ = best_suffix(total, weights)
+            peeled = frozenset(snapshot.labels_for(order_ids[best_k:]))
+        community = set(peeled) & remaining
         if not community:
             break
         density = _subset_density_csr(snapshot, community)
@@ -208,4 +242,7 @@ def enumerate_csr(
             CommunityInstance(vertices=frozenset(community), density=density, rank=len(instances))
         )
         remaining -= community
+        remaining_ids = remaining_ids[
+            np.isin(remaining_ids, snapshot.ids_for(community), invert=True)
+        ]
     return instances

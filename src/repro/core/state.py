@@ -40,7 +40,7 @@ from repro.graph.graph import Vertex
 from repro.graph.interning import VertexInterner
 from repro.peeling.result import PeelingResult
 from repro.peeling.semantics import PeelingSemantics
-from repro.peeling.static import peel
+from repro.peeling.static import peel_csr
 
 __all__ = ["PeelingState", "Community"]
 
@@ -130,7 +130,7 @@ class PeelingState:
         self.semantics = semantics
         self.kernel = kernel
         if result is None:
-            result = peel(graph, semantics_name=semantics.name)
+            result = peel_csr(graph, semantics.name, kernel=kernel)
         if len(result.order) != graph.num_vertices():
             raise StateError(
                 "peeling result does not cover the graph: "

@@ -13,9 +13,12 @@ property test in ``tests/test_history.py`` pins this across checkpoint
 boundaries.
 
 Reconstruction costs a checkpoint load plus a WAL-suffix replay, so the
-service keeps a small LRU cache of frozen :class:`CsrSnapshot` s keyed
-by sequence.  Cached reads are plain snapshot peels — the same price as
-a live ``/v1/detect``.
+service keeps a small LRU cache keyed by sequence.  An entry is the
+frozen :class:`CsrSnapshot` *and* its community — the one the replayed
+engine's maintained sequence held at that point, or one peel of the
+snapshot where that is not the static answer (FD) — so a cached
+``detect`` is a lookup, the same price as a live ``/v1/detect``, and a
+cached ``communities`` enumerates from rank 1.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.api.client import SpadeClient
 from repro.api.config import EngineConfig
 from repro.core.enumeration import CommunityInstance, enumerate_csr
+from repro.core.state import Community
 from repro.errors import AsofRangeError, ReproError
 from repro.graph.csr import CsrSnapshot
 from repro.peeling.semantics import PeelingSemantics
-from repro.peeling.static import peel_csr
 from repro.serve.recovery import CheckpointStore, graph_from_snapshot
+from repro.serve.snapshots import detect_payload, peel_community
 from repro.serve.wal import WriteAheadLog, iter_ops
 
 __all__ = ["AsofService", "paginate_instances"]
@@ -80,7 +84,7 @@ class AsofService:
         self._semantics_name = (
             semantics.name if semantics is not None else self._config.semantics
         )
-        self._cache: "OrderedDict[int, CsrSnapshot]" = OrderedDict()
+        self._cache: "OrderedDict[int, Tuple[CsrSnapshot, Community]]" = OrderedDict()
         self._cache_size = max(1, int(cache_size))
         self._lock = threading.Lock()
         # Plain ints under _lock; /healthz reads them, /metrics mirrors
@@ -188,14 +192,18 @@ class AsofService:
     # ------------------------------------------------------------------ #
     # Cached snapshot access
     # ------------------------------------------------------------------ #
-    def snapshot_at(self, seq: int, head: int) -> CsrSnapshot:
-        """Frozen snapshot of the graph at ``seq`` (LRU-cached).
+    def state_at(self, seq: int, head: int) -> Tuple[CsrSnapshot, Community]:
+        """``(snapshot, community)`` of the graph at ``seq`` (LRU-cached).
 
-        ``head`` is the last durable sequence; ``seq`` outside
-        ``[0, head]`` raises :class:`~repro.errors.AsofRangeError`
-        (→ HTTP 400).  Reconstruction happens outside the lock, so two
-        concurrent cold reads of the same sequence may both pay the
-        replay — harmless, the results are identical.
+        The community is the replayed engine's own detection, taken
+        before the client is dropped, or a peel of the snapshot when the
+        engine's report is not exact (see
+        :attr:`~repro.api.report.DetectionReport.exact`).  ``head``
+        is the last durable sequence; ``seq`` outside ``[0, head]``
+        raises :class:`~repro.errors.AsofRangeError` (→ HTTP 400).
+        Reconstruction happens outside the lock, so two concurrent cold
+        reads of the same sequence may both pay the replay — harmless,
+        the results are identical.
         """
         seq = int(seq)
         if seq < 0 or seq > head:
@@ -211,16 +219,22 @@ class AsofService:
             self._tick("miss")
         started = time.perf_counter()
         client = self.client_at(seq)
-        snapshot = client.snapshot()
+        snapshot, report = client.snapshot(), client.detect()
+        community = (
+            report.community
+            if report.exact
+            else peel_community(snapshot, self._semantics_name)
+        )
+        entry = (snapshot, community)
         elapsed = time.perf_counter() - started
         with self._lock:
             self.reconstruct_seconds += elapsed
-            self._cache[seq] = snapshot
+            self._cache[seq] = entry
             self._cache.move_to_end(seq)
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         self._tick("reconstruct", elapsed)
-        return snapshot
+        return entry
 
     def _tick(self, event: str, value: float = 1.0) -> None:
         """Fire the app-supplied metrics hook for ``event``, if any.
@@ -249,22 +263,18 @@ class AsofService:
     # ------------------------------------------------------------------ #
     def detect_at(self, seq: int, head: int) -> Dict[str, object]:
         """Exact detection over the graph as of ``seq``."""
-        snapshot = self.snapshot_at(seq, head)
-        semantics = self._semantics_name
-        result = peel_csr(snapshot, semantics)
-        return {
-            "version": int(seq),
-            "asof": int(seq),
-            "community": sorted(map(str, result.community)),
-            "density": result.best_density,
-            "peel_index": result.best_index,
-            "vertices": snapshot.num_vertices,
-            "edges": snapshot.num_edges,
-            "semantics": semantics,
-            "backend": self._config.backend,
-            "shards": 1,
-            "exact": True,
-        }
+        snapshot, community = self.state_at(seq, head)
+        payload = detect_payload(
+            int(seq),
+            community,
+            snapshot.num_vertices,
+            snapshot.num_edges,
+            self._semantics_name,
+            self._config.backend,
+            1,
+        )
+        payload["asof"] = int(seq)
+        return payload
 
     def communities_at(
         self,
@@ -281,14 +291,13 @@ class AsofService:
         passes the offset; cursor mode passes ``last_rank + 1``); the
         HTTP layer turns ``next_rank`` into an opaque cursor token.
         """
-        snapshot = self.snapshot_at(seq, head)
-        semantics = self._semantics_name
+        snapshot, community = self.state_at(seq, head)
         instances = enumerate_csr(
             snapshot,
             max_instances=start + limit + 1,
             min_density=min_density,
             min_size=min_size,
-            semantics_name=semantics,
+            first=community.vertices,
         )
         page, has_more, next_rank = paginate_instances(instances, start, limit)
         return {

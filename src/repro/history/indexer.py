@@ -160,12 +160,13 @@ class HistoryIndexer:
     def _record_epoch(self, store: HistoryStore, seq: int) -> bool:
         """Freeze, enumerate, append one epoch (one transaction)."""
         snapshot = self._client.snapshot()
+        detection = self._client.detect()
         instances = enumerate_csr(
             snapshot,
             max_instances=self._history.max_instances,
             min_density=self._history.min_density,
             min_size=self._history.min_size,
-            semantics_name=self._semantics_name,
+            first=detection.vertices if detection.exact else None,
         )
         rows = [
             (inst.rank, inst.density, sorted(map(str, inst.vertices)))

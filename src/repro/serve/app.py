@@ -14,9 +14,11 @@ store, ingest gateway and snapshot service around one shared
                             ``Retry-After`` while read-only degraded (WAL
                             unwritable — reads keep serving)
 ``POST /v1/flush``          force-flush deferred work (ordering barrier)
-``GET /v1/detect``          exact detection from the current snapshot, or a
-                            past one with ``?asof=SEQ`` (time travel over the
-                            WAL; 400 beyond the durable head)
+``GET /v1/detect``          exact detection at the latest version — the view
+                            the writer published with the commit, the one its
+                            ack carried — or at a past one with ``?asof=SEQ``
+                            (time travel over the WAL; 400 beyond the durable
+                            head)
 ``GET /v1/communities``     dense instances, ``offset``/``limit`` or keyset
                             ``cursor`` paginated; supports ``?asof=SEQ``
 ``GET /v1/vertices/{v}``    per-vertex stats from the current snapshot
@@ -195,6 +197,17 @@ class ServeApp:
         )
         self._m_detect_latency = self.metrics.histogram(
             "repro_detect_seconds", "GET /v1/detect end-to-end handler time"
+        )
+        self._m_detect_reads = self.metrics.counter(
+            "repro_detect_reads_total",
+            "GET /v1/detect reads by where the answer came from: the engine's "
+            "maintained sequence (published on commit) or a snapshot peel",
+            labelnames=("source",),
+        )
+        for source in ("maintained", "peel"):
+            self._m_detect_reads.labels(source=source)  # render both, at 0
+        self._m_communities_latency = self.metrics.histogram(
+            "repro_communities_seconds", "GET /v1/communities end-to-end handler time"
         )
         self._m_version = self.metrics.gauge(
             "repro_snapshot_version", "WAL sequence the latest snapshot reflects"
@@ -533,7 +546,7 @@ class ServeApp:
                 return await self._handle_detect(request, trace)
             if path == "/v1/communities":
                 self._require(request, "GET")
-                return await self._handle_communities(request)
+                return await self._handle_communities(request, trace)
             if path.startswith("/v1/vertices/"):
                 self._require(request, "GET")
                 return await self._handle_vertex(request, path[len("/v1/vertices/"):])
@@ -645,7 +658,7 @@ class ServeApp:
 
         Only integer syntax is checked here — range validation (negative,
         beyond the durable head) lives in
-        :meth:`~repro.history.asof.AsofService.snapshot_at`, which knows
+        :meth:`~repro.history.asof.AsofService.state_at`, which knows
         the head and raises :class:`~repro.errors.AsofRangeError` → 400.
         """
         raw = request.query.get("asof")
@@ -670,14 +683,16 @@ class ServeApp:
             trace.add_span("asof_detect", began, time.perf_counter(), seq=asof_seq)
             return json_response(200, report)
         began = time.perf_counter()
-        report = await self.service.detect()
+        view = await self.service.detection()
         ended = time.perf_counter()
         self._m_detect_latency.observe(ended - began)
-        trace.add_span("detect", began, ended, version=report.get("version"))
-        self._m_version.set(report["version"])  # type: ignore[arg-type]
-        return json_response(200, report)
+        self._m_detect_reads.labels(source=view.source).inc()
+        trace.add_span("detect", began, ended, version=view.version, source=view.source)
+        self._m_version.set(view.version)
+        return json_response(200, view.payload)
 
-    async def _handle_communities(self, request: Request) -> Response:
+    async def _handle_communities(self, request: Request, trace: TraceContext) -> Response:
+        began = time.perf_counter()
         offset = _int_query(request, "offset", 0, 0, 10**6)
         limit = _int_query(request, "limit", 10, 1, 1000)
         min_density = _float_query(request, "min_density", 0.0)
@@ -722,6 +737,9 @@ class ServeApp:
             if report.get("has_more") and next_rank is not None
             else None
         )
+        ended = time.perf_counter()
+        self._m_communities_latency.observe(ended - began)
+        trace.add_span("communities", began, ended, version=report["version"])
         return json_response(200, report)
 
     async def _handle_vertex(self, request: Request, label: str) -> Response:

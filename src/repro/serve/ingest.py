@@ -15,10 +15,12 @@ Commit protocol (per window, under the shared writer lock, off-loop)::
     2. apply them to the engine through SpadeClient.apply
     3. maybe cut a checkpoint (every checkpoint_interval accepted edges)
 
-then advance the snapshot service's version and resolve the waiters'
-futures.  An event is acknowledged over HTTP only after step 2, so every
-acknowledged event is both durable and applied — the invariant the
-kill-and-restart tests exercise.
+then publish the new version to the snapshot service — together with the
+detection the engine's apply just returned, which is what
+``GET /v1/detect`` serves until the next commit — and resolve the
+waiters' futures.  An event is acknowledged over HTTP only after step 2,
+so every acknowledged event is both durable and applied — the invariant
+the kill-and-restart tests exercise.
 
 Backpressure is explicit: a full queue makes :meth:`IngestGateway.submit`
 return ``None`` and the HTTP layer answers ``429`` with ``Retry-After``
@@ -52,7 +54,7 @@ from repro.graph.delta import EdgeUpdate
 from repro.obs.context import TraceContext, activate, deactivate
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import MetricsRegistry, SIZE_BUCKETS
-from repro.serve.snapshots import SnapshotService
+from repro.serve.snapshots import DetectionView, SnapshotService
 from repro.serve.wal import WriteAheadLog
 
 __all__ = ["IngestGateway", "Submission"]
@@ -107,6 +109,11 @@ class IngestGateway:
         self._queue: "asyncio.Queue[Submission]" = asyncio.Queue(config.queue_size)
         self._task: Optional["asyncio.Task[None]"] = None
         self._seq = 0
+        # The engine's exact answer in the state _seq names (None when it
+        # has none: shard-local reports, an op rejected half-way).  Only
+        # the commit path writes it, next to _seq, so the pair can be
+        # published as one on every way out of a window.
+        self._detection: Optional[DetectionView] = None
         self._edges_since_checkpoint = 0
         self._degraded = False
         self._degraded_reason: Optional[str] = None
@@ -179,7 +186,12 @@ class IngestGateway:
     def start(self, initial_seq: int = 0) -> None:
         """Start the writer task; ``initial_seq`` resumes a recovered WAL."""
         self._seq = initial_seq
-        self._service.advance(initial_seq)
+        # An empty apply reports the engine's current view without
+        # forcing any deferred work, flagged exact or not like a commit's.
+        self._detection = DetectionView.maintained(
+            initial_seq, self._client.apply([]), self._client.graph
+        )
+        self._service.publish(initial_seq, self._detection)
         self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def stop(self) -> None:
@@ -349,10 +361,12 @@ class IngestGateway:
                 )
         except DegradedError as exc:
             # The WAL refused an append: everything committed before the
-            # failure is durable and applied (publish its version); the
-            # rest of the window was never acked.  Enter read-only mode
-            # and start probing for the disk to come back.
-            self._service.advance(self._seq)
+            # failure is durable and applied (publish its version and its
+            # detection — the append precedes the apply, so the engine
+            # never saw the refused op); the rest of the window was never
+            # acked.  Enter read-only mode and start probing for the disk
+            # to come back.
+            self._service.publish(self._seq, self._detection)
             self._enter_degraded(exc.reason)
             for submission in window:
                 if not submission.future.done():
@@ -361,14 +375,17 @@ class IngestGateway:
         except Exception as exc:  # engine/WAL failure: fail the waiters
             # Ops earlier in the window may have committed before the
             # failure advanced past them — publish their version so reads
-            # never stamp the new state with a stale number.
-            self._service.advance(self._seq)
+            # never stamp the new state with a stale number.  The failing
+            # op may have touched the engine, so no report describes the
+            # state any more: reads peel it until the next commit.
+            self._detection = None
+            self._service.publish(self._seq, None)
             for submission in window:
                 if not submission.future.done():
                     submission.future.set_exception(exc)
             return
         self._m_commit.observe(time.perf_counter() - began)
-        self._service.advance(self._seq)
+        self._service.publish(self._seq, self._detection)
         now = time.perf_counter()
         for (op, submissions), result in zip(ops, results):
             for submission in submissions:
@@ -477,6 +494,7 @@ class IngestGateway:
                     # submitters get the error, later operations in the window
                     # still commit.
                     self._seq = seq
+                    self._detection = None  # whatever it did left no report
                     results.append(
                         {"wal_seq": seq, "version": seq, "error": str(exc)}
                     )
@@ -488,6 +506,7 @@ class IngestGateway:
                 if token is not None:
                     deactivate(token)
             self._seq = seq
+            self._detection = DetectionView.maintained(seq, report, self._client.graph)
             self._m_batches.inc()
             edges = report.edges_applied
             self._m_batch_size.observe(max(1, edges))

@@ -17,6 +17,13 @@ The CI gate for the serving subsystem (``python -m repro.serve.smoke``):
 Every acknowledged event is by construction in the WAL, so equality with
 the offline replay of the WAL is the durability statement in ISSUE 5.
 
+Both phases also pin *which path* answered ``GET /v1/detect``
+(``repro_detect_reads_total{source}``): a single engine must serve every
+read from the view its writer published (``peel`` stays 0), a
+worker-sharded one has no exact per-commit view and must peel
+(``maintained`` stays 0) — so a silent fallback, or a silent loss of it,
+fails CI instead of showing up as a latency regression.
+
 Chaos mode (``--faults plan.json``) arms a deterministic
 :mod:`repro.serve.faults` plan for **phase 1 only** — the restart in
 phase 2 always boots clean, so whatever the faults left on disk (torn
@@ -112,6 +119,29 @@ def _request_full(
         )
     finally:
         connection.close()
+
+
+def _detect_source_failures(port: int, workers: int, phase: str) -> List[str]:
+    """Which path served this server's ``/v1/detect`` reads so far."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request("GET", "/metrics")
+        text = connection.getresponse().read().decode("utf-8")
+    finally:
+        connection.close()
+    reads = {
+        source: int(float(line.rsplit(" ", 1)[1]))
+        for source in ("maintained", "peel")
+        for line in text.splitlines()
+        if line.startswith(f'repro_detect_reads_total{{source="{source}"}} ')
+    }
+    unexpected, expected = ("maintained", "peel") if workers > 1 else ("peel", "maintained")
+    if reads.get(unexpected) != 0 or not reads.get(expected):
+        return [
+            f"{phase}: /v1/detect reads took the wrong path for workers={workers}: "
+            f"{reads} (want {unexpected}=0, {expected}>0)"
+        ]
+    return []
 
 
 def _post_edges(
@@ -478,6 +508,7 @@ def run_smoke(
                         f"{respawn_entry['trace_id']}"
                     )
             resume_at = index
+            source_failures = _detect_source_failures(port, workers, "phase 1")
             # Kill without ceremony, mid-stream.
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
@@ -518,6 +549,7 @@ def run_smoke(
             assert status == 200
             status, final_communities = _request(port, "GET", "/v1/communities?limit=5")
             assert status == 200
+            source_failures += _detect_source_failures(port, workers, "phase 2")
             asof_failures: List[str] = []
             if history_interval is not None:
                 # Wait for the background indexer to catch up to the last
@@ -611,7 +643,7 @@ def run_smoke(
             for instance in offline.communities(max_instances=5)
         ]
 
-        failures: List[str] = list(asof_failures)
+        failures: List[str] = source_failures + asof_failures
         if residual_corruption is not None:
             failures.append(f"final WAL does not scan clean: {residual_corruption}")
         if final_detect["version"] != ops[-1][0]:

@@ -21,12 +21,22 @@ from repro.peeling.semantics import PeelingSemantics, dw_semantics
 from repro.peeling.static import peel
 
 __all__ = [
+    "peel_phase_calls",
     "dyadic_weight",
     "random_weighted_edges",
     "build_state",
     "assert_matches_static",
     "assert_valid_state",
 ]
+
+
+def peel_phase_calls(prefix: str = "peel_") -> int:
+    """Passes this process has run so far of the peel phases named ``prefix*``."""
+    from repro.obs import profile
+
+    return sum(
+        cell["calls"] for key, cell in profile.snapshot().items() if key.startswith(prefix)
+    )
 
 
 def dyadic_weight(rng: random.Random, low_units: int = 1, high_units: int = 320) -> float:

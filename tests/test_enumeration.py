@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.core.enumeration import enumerate_communities, split_instances
+from repro.core.enumeration import (
+    _subset_density_csr,
+    enumerate_communities,
+    enumerate_csr,
+    split_instances,
+)
 from repro.core.state import PeelingState
+from repro.graph.csr import freeze_graph
 from repro.graph.graph import DynamicGraph
-from repro.peeling.semantics import dw_semantics
+from repro.peeling.semantics import dw_semantics, subset_density
+from tests.helpers import random_weighted_edges
 
 
 @pytest.fixture
@@ -72,6 +81,55 @@ class TestEnumerate:
 
     def test_empty_graph(self):
         assert enumerate_communities(DynamicGraph()) == []
+
+
+class TestEnumerateCsr:
+    def test_seeded_first_community_changes_nothing(self, three_blocks, dw):
+        # The maintained engine's community as the rank-0 seed: the same
+        # instances, densities and ranks as peeling rank 0 from scratch,
+        # and the same instances the maintained-state enumeration reports.
+        state = PeelingState(three_blocks, dw)
+        snapshot = freeze_graph(three_blocks)
+        plain = enumerate_csr(snapshot, max_instances=5, min_density=0.2)
+        seeded = enumerate_csr(
+            snapshot, max_instances=5, min_density=0.2, first=state.community().vertices
+        )
+        assert seeded == plain
+        assert [inst.vertices for inst in plain] == [
+            inst.vertices
+            for inst in enumerate_communities(state, max_instances=5, min_density=0.2)
+        ]
+
+    def test_id_remainder_matches_the_label_path(self):
+        # enumerate_communities re-peels label sets (peel_subset_csr);
+        # enumerate_csr carries the remainder as dense ids.  Same
+        # instances, densities and ranks (dyadic weights: exact).
+        rng = random.Random(3)
+        for _trial in range(25):
+            graph = dw_semantics().materialize(
+                random_weighted_edges(30, rng.randint(10, 150), rng), backend="array"
+            )
+            assert enumerate_csr(freeze_graph(graph), max_instances=8) == (
+                enumerate_communities(graph, max_instances=8)
+            )
+
+
+    def test_density_adds_in_the_label_paths_order(self):
+        # Non-dyadic weights: any other association order shows in the
+        # last bits.  The reference is the scalar label path on the live
+        # graph, which the snapshot path promises to match exactly.
+        rng = random.Random(3)
+        for _trial in range(40):
+            edges = [
+                (f"v{rng.randrange(25)}", f"v{rng.randrange(25)}", rng.uniform(0.05, 5.0))
+                for _ in range(rng.randint(5, 120))
+            ]
+            graph = dw_semantics().materialize(
+                [e for e in edges if e[0] != e[1]], backend="array"
+            )
+            snapshot = freeze_graph(graph)
+            subset = set(rng.sample(sorted(graph.vertices()), rng.randint(1, graph.num_vertices())))
+            assert _subset_density_csr(snapshot, subset) == subset_density(graph, subset)
 
 
 class TestSplitInstances:

@@ -382,6 +382,47 @@ class TestDegradedMode:
         assert [seq for seq, _ in scanned] == [1, 2]
 
 
+    def test_mid_window_wal_failure_publishes_the_durable_prefix_only(self, tmp_path):
+        # One window of three ops (the delete is a barrier, so they do not
+        # coalesce); the WAL refuses the second append.
+        injector = FaultInjector(
+            plan({"site": "wal.append", "kind": "disk_full", "at": 2, "count": 1})
+        )
+        gateway, wal = self._gateway(tmp_path, injector, probe_interval_ms=10_000.0)
+        service = gateway._service
+
+        async def scenario():
+            futures = [
+                gateway.submit(
+                    "insert", [EdgeUpdate("a", "b", 2.0), EdgeUpdate("b", "c", 1.0)], 2
+                ),
+                gateway.submit("delete", [("a", "b")], 1),
+                gateway.submit("insert", [EdgeUpdate("c", "d", 8.0)], 1),
+            ]
+            gateway.start()
+            try:
+                outcomes = await asyncio.gather(*futures, return_exceptions=True)
+                return outcomes, await service.detection()
+            finally:
+                await gateway.stop()
+                wal.close()
+
+        outcomes, view = asyncio.run(scenario())
+        assert all(isinstance(outcome, DegradedError) for outcome in outcomes)
+        scanned, _, corruption = scan_ops(WriteAheadLog.path_in(tmp_path))
+        assert corruption is None and [seq for seq, _ in scanned] == [1]
+        offline = SpadeClient(EngineConfig(semantics="DW", backend="array"))
+        offline.load([])
+        expected = offline.apply([op for _seq, op in scanned])
+        # Version and content are the durable prefix — never the tail the
+        # window went on to hold (the delete, the heavy c-d edge).
+        assert service.version == view.version == 1
+        assert view.source == "maintained"
+        assert view.payload["community"] == sorted(map(str, expected.vertices))
+        assert view.payload["density"] == expected.density
+        assert view.payload["edges"] == 2
+
+
 class TestWorkerFallbackTyped:
     def test_budget_exhaustion_raises_typed_error(self):
         # A spawn that is always SIGKILLed exhausts the budget; the

@@ -492,9 +492,9 @@ class TestAsofService:
         service = AsofService(config)
         assert service.head_seq() == 3
         with pytest.raises(AsofRangeError):
-            service.snapshot_at(4, head=3)
+            service.state_at(4, head=3)
         with pytest.raises(AsofRangeError):
-            service.snapshot_at(-1, head=3)
+            service.state_at(-1, head=3)
 
     def test_lru_eviction(self, tmp_path):
         config = serve_config(tmp_path)
@@ -502,10 +502,41 @@ class TestAsofService:
         drive(app, _ingest_requests(ROWS[:4]))
         service = AsofService(config, cache_size=2)
         for seq in (1, 2, 3):
-            service.snapshot_at(seq, head=4)
+            service.state_at(seq, head=4)
         assert service.cache_stats()["size"] == 2
-        service.snapshot_at(1, head=4)  # evicted: a miss again
+        service.state_at(1, head=4)  # evicted: a miss again
         assert service.misses == 4 and service.hits == 0
+
+
+    @pytest.mark.parametrize("semantics", ["DW", "FD"])
+    def test_cached_detect_is_a_lookup_and_seeded_enumeration_is_identical(
+        self, tmp_path, semantics
+    ):
+        # DW caches the replayed engine's community; FD, whose maintained
+        # sequence is not the static one, caches one peel of the snapshot.
+        from repro.core.enumeration import enumerate_csr
+        from repro.peeling.static import peel_csr
+        from tests.helpers import peel_phase_calls
+
+        config = serve_config(tmp_path, checkpoint_interval=4).replace(semantics=semantics)
+        app = ServeApp(config)
+        drive(app, _ingest_requests(ROWS))
+        service = AsofService(config)
+        head = len(ROWS)
+
+        for seq in (3, 7, head):
+            cold = service.detect_at(seq, head)
+            before = peel_phase_calls()
+            cached = service.detect_at(seq, head)
+            assert peel_phase_calls() == before, "a cached as-of detect must not peel"
+            assert cached == cold
+            snapshot, community = service.state_at(seq, head)
+            fresh = peel_csr(snapshot, semantics)
+            assert cold["community"] == sorted(map(str, fresh.community))
+            assert cold["density"] == fresh.best_density
+            assert cold["peel_index"] == fresh.best_index
+            assert enumerate_csr(snapshot, first=community.vertices) == enumerate_csr(snapshot)
+        assert service.hits >= 3
 
 
 # ---------------------------------------------------------------------- #

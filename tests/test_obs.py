@@ -472,15 +472,40 @@ class TestServeTracing:
             [
                 ("POST", "/v1/edges", {"edges": bulk_edges(30)}),
                 ("POST", "/v1/flush", None),
+                ("GET", "/debug/profile", None),
                 ("GET", "/v1/detect", None),
+                ("GET", "/v1/detect", None),
+                ("GET", "/v1/detect", None),
+                ("GET", "/debug/profile", None),
+                ("GET", "/v1/communities", None),
                 ("GET", "/debug/profile", None),
                 ("GET", "/metrics", None),
             ],
         )
-        profile = results[3][1]
-        assert profile["kernel"] in ("python", "native")
-        assert any(key.startswith("peel_") for key in profile["merged"])
-        metrics_text = results[4][1]
+        assert all(status == 200 for status, _b, _h in results)
+
+        def peel_calls(profile, prefix="peel_"):
+            return sum(
+                cell["calls"]
+                for key, cell in profile["merged"].items()
+                if key.startswith(prefix)
+            )
+
+        before, after_detects, after_communities = (
+            results[index][1] for index in (2, 6, 8)
+        )
+        assert after_communities["kernel"] in ("python", "native")
+        # A single engine answers /v1/detect from the view its writer
+        # published: no read runs any peel phase ...
+        assert peel_calls(after_detects) == peel_calls(before)
+        # ... while /v1/communities still re-peels the remainder for ranks >= 1.
+        assert peel_calls(after_communities, "peel_greedy") > peel_calls(
+            after_detects, "peel_greedy"
+        )
+        metrics_text = results[9][1]
+        assert 'repro_detect_reads_total{source="maintained"} 3' in metrics_text
+        assert 'repro_detect_reads_total{source="peel"} 0' in metrics_text
+        assert "repro_communities_seconds_count 1" in metrics_text
         assert "repro_build_info" in metrics_text
         assert 'version="' in metrics_text
         assert "repro_profile_seconds" in metrics_text

@@ -446,7 +446,7 @@ class TestSnapshotIsolation:
 
         async def reader_task():
             while not writer_done.is_set():
-                detect = await app.service.detect()
+                detect = (await app.service.detection()).payload
                 communities = await app.service.communities(limit=3)
                 responses.append((detect, communities))
                 await asyncio.sleep(0)
@@ -461,7 +461,7 @@ class TestSnapshotIsolation:
                 writer_done.set()
                 await asyncio.gather(*readers)
                 responses.append(
-                    (await app.service.detect(), await app.service.communities(limit=3))
+                    ((await app.service.detection()).payload, await app.service.communities(limit=3))
                 )
             finally:
                 await app.stop()
@@ -496,3 +496,244 @@ class TestSnapshotIsolation:
         # The final read reflects the fully applied stream.
         final_detect, _final_communities = responses[-1]
         assert final_detect["version"] == max(seq for seq, _ in ops)
+
+
+class TestPublishOnCommit:
+    """``/v1/detect`` is the view the writer published with the version."""
+
+    @staticmethod
+    def _script(rng, steps):
+        """Mixed insert / batch / delete / flush ops over dyadic weights."""
+        live, ops = [], []
+        for _ in range(steps):
+            kind = rng.choice(["insert", "batch", "batch", "delete", "flush"])
+            if kind == "delete" and live:
+                ops.append(("delete", [live.pop(rng.randrange(len(live)))]))
+            elif kind == "flush":
+                ops.append(("flush", ()))
+            else:
+                rows = []
+                while len(rows) < (1 if kind == "insert" else rng.randint(2, 5)):
+                    src, dst = rng.randrange(12), rng.randrange(12)
+                    if src != dst:
+                        rows.append((f"v{src}", f"v{dst}", rng.randint(1, 64) / 16.0))
+                        if (rows[-1][0], rows[-1][1]) not in live:
+                            live.append((rows[-1][0], rows[-1][1]))
+                ops.append(("insert", rows))
+        return ops
+
+    @settings(
+        max_examples=12,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.too_slow,
+            HealthCheck.function_scoped_fixture,
+        ],
+    )
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        semantics=st.sampled_from(["DG", "DW", "FD"]),
+        grouping=st.booleans(),
+    )
+    def test_detect_equals_ack_and_offline_replay_at_every_version(
+        self, seed, semantics, grouping
+    ):
+        import random
+
+        from repro.peeling.static import peel_csr
+
+        config = EngineConfig(
+            semantics=semantics,
+            backend="array",
+            edge_grouping=grouping,
+            serve=ServeConfig(port=0, fsync=False, max_delay_ms=0.0),
+        )
+        script = self._script(random.Random(seed), steps=10)
+        offline = SpadeClient(config.replace(serve=None))
+        offline.load([])
+        app = ServeApp(config)
+
+        async def scenario():
+            await app.start()
+            try:
+                for kind, payload in script:
+                    if kind == "insert":
+                        updates = [EdgeUpdate(s, d, w) for s, d, w in payload]
+                        event = InsertBatch(tuple(updates))
+                    elif kind == "delete":
+                        updates, event = payload, Delete(tuple(payload))
+                    else:
+                        updates, event = (), Flush()
+                    ack = await app.gateway.submit(kind, updates, len(updates))
+                    expected = offline.apply([event])
+                    view = await app.service.detection()
+                    detect = view.payload
+                    assert detect["version"] == ack["version"] == app.service.version
+                    assert detect["vertices"] == offline.graph.num_vertices()
+                    assert detect["edges"] == offline.graph.num_edges()
+                    # Whatever the source, the read is the old answer: a
+                    # fresh peel of the frozen graph, here and offline.
+                    for engine in (app.client, offline):
+                        fresh = peel_csr(engine.snapshot(), semantics)
+                        assert detect["community"] == sorted(map(str, fresh.community))
+                        assert detect["density"] == fresh.best_density
+                        assert detect["peel_index"] == fresh.best_index
+                    if semantics == "FD":
+                        # Not the static sequence: nothing published.
+                        assert not expected.exact
+                        assert view.source == "peel"
+                        continue
+                    # The read is the ack: same version, same numbers ...
+                    assert view.source == "maintained"
+                    assert detect["density"] == ack["density"]
+                    assert len(detect["community"]) == ack["community_size"]
+                    # ... and the offline prefix replay, field for field.
+                    assert detect["community"] == sorted(map(str, expected.vertices))
+                    assert detect["density"] == expected.density
+                    assert detect["peel_index"] == expected.peel_index
+            finally:
+                await app.stop()
+
+        asyncio.run(scenario())
+
+    def test_fd_reads_stay_the_fresh_peel_where_the_maintained_sequence_is_not(self):
+        # FD's 1/log weights tie in real arithmetic and not in floats, so
+        # the maintained sequence (valid either way) can end at another
+        # community than a fresh peel of the same graph — this stream gets
+        # there on both backends (``diverged``; first at 0.4037 against
+        # 0.4142).  Reads must stay what they were before publish-on-commit,
+        # the fresh peel, at every version, rank 0 of communities included.
+        import random
+
+        from repro.peeling.static import peel_csr
+
+        rng = random.Random(25)
+        app = ServeApp(
+            EngineConfig(
+                semantics="FD",
+                serve=ServeConfig(port=0, fsync=False, max_delay_ms=0.0),
+            )
+        )
+
+        async def scenario():
+            await app.start()
+            try:
+                live, diverged = [], 0
+                for _ in range(30):
+                    if live and rng.random() < 0.3:
+                        edge = live.pop(rng.randrange(len(live)))
+                        await app.gateway.submit("delete", [edge], 1)
+                    else:
+                        edge = (f"v{rng.randrange(10)}", f"v{rng.randrange(10)}")
+                        if edge[0] == edge[1] or edge in live:
+                            continue
+                        live.append(edge)
+                        await app.gateway.submit("insert", [EdgeUpdate(*edge, 1.0)], 1)
+                    view = await app.service.detection()
+                    fresh = peel_csr(app.client.snapshot(), "FD")
+                    assert view.source == "peel" and view.version == app.service.version
+                    assert view.payload["community"] == sorted(map(str, fresh.community))
+                    assert view.payload["density"] == fresh.best_density
+                    assert view.payload["peel_index"] == fresh.best_index
+                    if fresh.best_density > 0.0:  # an edgeless graph lists nothing
+                        top = (await app.service.communities(limit=1))["communities"]
+                        assert [c["vertices"] for c in top] == [view.payload["community"]]
+                    maintained = app.client.detect()
+                    assert not maintained.exact
+                    diverged += abs(maintained.density - fresh.best_density) > 1e-6
+                return diverged
+            finally:
+                await app.stop()
+
+        assert asyncio.run(scenario()) >= 1
+
+    def test_rejected_op_clears_the_view_and_the_next_commit_restores_it(self):
+        app = ServeApp(serve_config())
+
+        async def scenario():
+            await app.start()
+            try:
+                first_ack = await app.gateway.submit(
+                    "insert", [EdgeUpdate("a", "b", 2.0), EdgeUpdate("b", "c", 1.0)], 2
+                )
+                # The HTTP layer refuses self loops; the gateway must still
+                # survive one (it is logged, the engine rejects it).
+                rejected = await app.gateway.submit(
+                    "insert", [EdgeUpdate("loop", "loop", 1.0)], 1
+                )
+                assert "error" in rejected
+                fallback = await app.service.detection()
+                again = await app.service.detection()
+                restored_ack = await app.gateway.submit(
+                    "insert", [EdgeUpdate("c", "a", 3.0)], 1
+                )
+                restored = await app.service.detection()
+                return first_ack, rejected, fallback, again, restored_ack, restored
+            finally:
+                await app.stop()
+
+        first_ack, rejected, fallback, again, restored_ack, restored = asyncio.run(
+            scenario()
+        )
+        # No report describes the state a rejected op left: the read peels
+        # it once and keeps the answer for the version.
+        assert fallback.source == "peel" and fallback.version == rejected["version"]
+        assert again is fallback
+        assert fallback.payload["density"] == first_ack["density"]
+        assert len(fallback.payload["community"]) == first_ack["community_size"]
+        assert restored.source == "maintained"
+        assert restored.payload["density"] == restored_ack["density"]
+
+    @pytest.mark.parametrize("shape", ["shards", "workers"])
+    def test_inexact_engines_fall_back_to_one_peel_per_version(self, shape):
+        import random
+
+        from tests.helpers import peel_phase_calls
+
+        rng = random.Random(7)
+        rows = []
+        while len(rows) < 40:
+            src, dst = rng.randrange(12), rng.randrange(12)
+            if src != dst:
+                rows.append((f"v{src}", f"v{dst}", rng.randint(1, 64) / 16.0))
+        knobs = dict(port=0, fsync=False, max_delay_ms=0.0)
+        if shape == "workers":
+            config = EngineConfig(
+                semantics="DW", backend="array", serve=ServeConfig(workers=2, **knobs)
+            )
+        else:
+            config = EngineConfig(
+                semantics="DW", backend="array", shards=2, serve=ServeConfig(**knobs)
+            )
+        offline = SpadeClient(EngineConfig(semantics="DW", backend="array"))
+        offline.load([])
+        app = ServeApp(config)
+
+        async def scenario():
+            await app.start()
+            try:
+                reads = []
+                for index in range(0, len(rows), 10):
+                    chunk = rows[index : index + 10]
+                    await app.gateway.submit(
+                        "insert", [EdgeUpdate(s, d, w) for s, d, w in chunk], len(chunk)
+                    )
+                    expected = offline.apply(
+                        [InsertBatch(tuple(EdgeUpdate(s, d, w) for s, d, w in chunk))]
+                    )
+                    before = peel_phase_calls("peel_greedy")
+                    first = await app.service.detection()
+                    second = await app.service.detection()
+                    peels = peel_phase_calls("peel_greedy") - before
+                    reads.append((first, second, peels, expected))
+                return reads
+            finally:
+                await app.stop()
+
+        for first, second, peels, expected in asyncio.run(scenario()):
+            assert first.source == "peel" and second is first
+            assert peels == 1
+            assert first.payload["community"] == sorted(map(str, expected.vertices))
+            assert first.payload["density"] == expected.density
+            assert first.payload["peel_index"] == expected.peel_index
+            assert first.payload["exact"] is True

@@ -302,7 +302,7 @@ class TestPoisonedOperations:
                 assert after is not None
                 ack = await after
                 assert "error" not in ack  # later ops still commit
-                return await app.service.detect()
+                return (await app.service.detection()).payload
             finally:
                 await app.stop()
 
