@@ -12,9 +12,9 @@ worker never sees a raw weight: its engine runs the identity
 
 Boot is zero-copy on the read side: the coordinator freezes the shard's
 subgraph into a :class:`~repro.graph.csr.CsrSnapshot` ``.npz`` and the
-worker loads it with ``mmap_mode="r"`` (the PR 2 path), rebuilding its
-mutable pools with the pool-faithful
-:func:`~repro.serve.recovery.graph_from_snapshot` merge so the shard's
+worker memory-maps it with ``mmap_mode="r"``, filling its
+mutable pools straight from the CSR runs with
+:func:`~repro.serve.recovery.graph_from_snapshot` so the shard's
 maintained answers match an in-process shard bit for bit.
 
 Wire protocol (pickled tuples over the pipe, strictly request/response)::

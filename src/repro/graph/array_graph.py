@@ -40,7 +40,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import InvalidWeightError, UnknownEdgeError, UnknownVertexError
+from repro.errors import InvalidWeightError, StorageError, UnknownEdgeError, UnknownVertexError
 from repro.graph.graph import Vertex, populate_graph
 from repro.graph.interning import VertexInterner
 
@@ -48,6 +48,24 @@ __all__ = ["ArrayGraph"]
 
 _EMPTY_IDS = np.empty(0, dtype=np.int32)
 _EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
+
+
+def _csr_pools(offsets: np.ndarray, nbrs: np.ndarray, wgts: np.ndarray):
+    """Split one CSR direction into writable per-vertex pools.
+
+    Returns ``(owner, slot, neighbors, incident, pools)``: each entry's
+    owning id and slot within its run, its neighbour id (``int64``), the
+    per-id run weight sums, and the ``(nbr_pools, weight_pools, lengths)``
+    lists — slices of one writable copy of the run arrays.
+    """
+    counts = np.diff(offsets)
+    owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    slot = np.arange(len(nbrs), dtype=np.int64) - np.repeat(offsets[:-1], counts)
+    nbrs = np.array(nbrs, dtype=np.int32)
+    wgts = np.array(wgts, dtype=np.float64)
+    bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+    pools = ([nbrs[a:b] for a, b in bounds], [wgts[a:b] for a, b in bounds], counts.tolist())
+    return owner, slot, nbrs.astype(np.int64), np.bincount(owner, wgts, len(counts)), pools
 
 
 class ArrayGraph:
@@ -754,3 +772,43 @@ class ArrayGraph:
         for src, dst, weight in graph.edges():
             clone.add_edge(src, dst, weight)
         return clone
+
+    @classmethod
+    def from_csr(cls, snapshot) -> "ArrayGraph":
+        """Rebuild the graph a labelled snapshot was frozen from, pool for pool.
+
+        A CSR neighbour run *is* that vertex's pool, so the pools are
+        slices of one writable copy of the snapshot's arrays (full to
+        capacity: the first append reallocates) and the edge-slot index
+        pairs each out-slot with its in-slot by sorting both sides on
+        ``(src, dst)``.  Ids, priors, membership, edge count and total
+        weight are the snapshot's own; no edge is re-inserted.
+        """
+        graph = cls()
+        num = snapshot.num_ids
+        graph._interner.intern_many(snapshot.labels)
+        graph._vw = np.array(snapshot.vertex_weights, dtype=np.float64)
+        graph._member = np.array(snapshot.member, dtype=bool)
+        graph._vertex_order = snapshot.order.tolist()
+        src, out_slot, dst, out_iw, (graph._out_nbr, graph._out_w, graph._out_len) = (
+            _csr_pools(snapshot.out_offsets, snapshot.out_neighbors, snapshot.out_weights)
+        )
+        in_dst, in_slot, in_src, in_iw, (graph._in_nbr, graph._in_w, graph._in_len) = (
+            _csr_pools(snapshot.in_offsets, snapshot.in_neighbors, snapshot.in_weights)
+        )
+        by_out = np.argsort(src * num + dst)
+        by_in = np.argsort(in_src * num + in_dst)
+        if not (
+            np.array_equal(src[by_out], in_src[by_in])
+            and np.array_equal(dst[by_out], in_dst[by_in])
+        ):
+            raise StorageError("snapshot out- and in-adjacency disagree")
+        paired = np.empty_like(in_slot)
+        paired[by_out] = in_slot[by_in]
+        graph._edge_slots = dict(
+            zip(zip(src.tolist(), dst.tolist()), zip(out_slot.tolist(), paired.tolist()))
+        )
+        graph._iw = out_iw + in_iw
+        graph._num_edges = snapshot.num_edges
+        graph._total_edge_weight = snapshot.total_edge_weight
+        return graph

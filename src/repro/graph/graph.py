@@ -422,3 +422,35 @@ class DynamicGraph:
         for src, dst, weight in graph.edges():
             clone.add_edge(src, dst, weight)
         return clone
+
+    @classmethod
+    def from_csr(cls, snapshot) -> "DynamicGraph":
+        """Rebuild a labelled snapshot's graph: one dict per CSR run, in run order.
+
+        A neighbour run is the vertex's adjacency-dict order, so no edge is
+        re-inserted; ids, priors, edge count and total weight are the
+        snapshot's own.
+        """
+        graph = cls()
+        labels = snapshot.labels
+        graph._interner.intern_many(labels)
+        order = snapshot.order.tolist()
+        priors = snapshot.vertex_weights.tolist()
+        graph._vertex_weight = {labels[vid]: priors[vid] for vid in order}
+
+        def runs(offsets, nbrs, wgts):
+            bounds = offsets.tolist()
+            nbrs = snapshot.labels_for(nbrs)
+            wgts = wgts.tolist()
+            return {
+                labels[vid]: dict(
+                    zip(nbrs[bounds[vid] : bounds[vid + 1]], wgts[bounds[vid] : bounds[vid + 1]])
+                )
+                for vid in order
+            }
+
+        graph._out = runs(snapshot.out_offsets, snapshot.out_neighbors, snapshot.out_weights)
+        graph._in = runs(snapshot.in_offsets, snapshot.in_neighbors, snapshot.in_weights)
+        graph._num_edges = snapshot.num_edges
+        graph._total_edge_weight = snapshot.total_edge_weight
+        return graph

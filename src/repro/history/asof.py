@@ -4,21 +4,29 @@ The write-ahead log is a total order over every accepted operation, so
 "the graph as of sequence ``S``" is fully determined: load the nearest
 checkpoint at or below ``S`` and replay the WAL records with
 ``seq <= S`` through the same pool-faithful path crash recovery uses
-(:func:`repro.serve.recovery.graph_from_snapshot` + ``client.apply``
-with identical rejection-skipping).  Because that path is bit-identical
-to the original process — checkpoint zero, which carries the initial
-edge list, is never pruned — ``detect?asof=S`` equals an offline engine
-replayed through exactly the first ``S`` operations; the hypothesis
-property test in ``tests/test_history.py`` pins this across checkpoint
-boundaries.
+(:func:`repro.serve.recovery.graph_from_snapshot` +
+:func:`~repro.serve.recovery.apply_logged`).  Because that path is
+bit-identical to the original process — checkpoint zero, which carries
+the initial edge list, is never pruned — ``detect?asof=S`` equals an
+offline engine replayed through exactly the first ``S`` operations; the
+hypothesis property test in ``tests/test_history.py`` pins this across
+checkpoint boundaries.
 
-Reconstruction costs a checkpoint load plus a WAL-suffix replay, so the
-service keeps a small LRU cache keyed by sequence.  An entry is the
-frozen :class:`CsrSnapshot` *and* its community — the one the replayed
-engine's maintained sequence held at that point, or one peel of the
-snapshot where that is not the static answer (FD) — so a cached
-``detect`` is a lookup, the same price as a live ``/v1/detect``, and a
-cached ``communities`` enumerates from rank 1.
+The service keeps one resident *replay cursor*: the last cold read's
+client, base checkpoint, WAL offset and sequence.  A cold read of ``S``
+resumes it when ``S`` is at or past the cursor and the nearest complete
+checkpoint at or below ``S`` is the cursor's base (the same-base rule),
+so it applies exactly the records a rebuild would: the cold answer by
+construction, whatever reads came before.  Any other cold read drops the
+cursor (one resident client at most), rebuilds and becomes the cursor.
+The cursor is taken out under the lock, so reads never share a client.
+
+Every read result is also kept in a small LRU cache keyed by sequence.
+An entry is the frozen :class:`CsrSnapshot` *and* its community — the
+one the replayed engine's maintained sequence held at that point, or
+one peel of the snapshot where that is not the static answer (FD) — so
+a cached ``detect`` is a lookup, the same price as a live
+``/v1/detect``, and a cached ``communities`` enumerates from rank 1.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from repro.core.state import Community
 from repro.errors import AsofRangeError, ReproError
 from repro.graph.csr import CsrSnapshot
 from repro.peeling.semantics import PeelingSemantics
-from repro.serve.recovery import CheckpointStore, graph_from_snapshot
+from repro.serve.recovery import CheckpointStore, apply_logged, graph_from_snapshot
 from repro.serve.snapshots import detect_payload, peel_community
 from repro.serve.wal import WriteAheadLog, iter_ops
 
@@ -87,50 +95,53 @@ class AsofService:
         self._cache: "OrderedDict[int, Tuple[CsrSnapshot, Community]]" = OrderedDict()
         self._cache_size = max(1, int(cache_size))
         self._lock = threading.Lock()
+        # (client, base_checkpoint_seq, wal_offset, at_seq); see the module
+        # docstring's same-base rule.
+        self._cursor: Optional[Tuple[SpadeClient, Optional[int], int, int]] = None
         # Plain ints under _lock; /healthz reads them, /metrics mirrors
         # them through the hooks below when the app wires counters in.
         self.hits = 0
         self.misses = 0
+        self.resumes = 0
+        self.replayed_ops = 0
         self.reconstruct_seconds = 0.0
         self._counters = counters or {}
 
     # ------------------------------------------------------------------ #
     # Reconstruction
     # ------------------------------------------------------------------ #
-    def client_at(self, seq: int) -> SpadeClient:
-        """A fresh single-engine client replayed to exactly sequence ``seq``."""
-        return self.client_with_position(seq)[0]
+    def _checkpoint_client(
+        self, seq: int
+    ) -> Tuple[SpadeClient, Optional[int], int, int]:
+        """A fresh client at the nearest checkpoint at or below ``seq``.
+
+        Returns ``(client, base_seq, wal_offset, at_seq)``; ``base_seq`` is
+        ``None`` when no checkpoint qualifies.  Checkpoint zero is
+        prune-exempt, so that is a deployment that never cut one (or a
+        pre-time-travel directory): the client starts from an empty graph,
+        which is correct whenever the WAL is the full history.
+        """
+        checkpoint = CheckpointStore(self._wal_dir).latest(max_seq=seq)
+        client = SpadeClient(self._config, semantics=self._semantics)
+        if checkpoint is None:
+            client.load([])
+            return client, None, 0, 0
+        snapshot, meta = checkpoint
+        client.engine.load_graph(graph_from_snapshot(snapshot, backend=client.backend))
+        base = int(meta["wal_seq"])
+        return client, base, int(meta["wal_offset"]), base
 
     def client_with_position(
         self, seq: int
     ) -> Tuple[SpadeClient, int, int]:
-        """``(client, wal_offset, at_seq)`` replayed to sequence ``seq``.
+        """``(client, wal_offset, at_seq)`` of a fresh client replayed to ``seq``.
 
-        The as-of core, shared with the history indexer (which keeps the
-        returned client resident and streams further ops into it from
+        The cold as-of path, shared with the history indexer (which keeps
+        the returned client resident and streams further ops into it from
         ``wal_offset``).  ``at_seq`` is the sequence the client actually
         reflects — equal to ``seq`` whenever the WAL reaches it.
         """
-        store = CheckpointStore(self._wal_dir)
-        checkpoint = store.latest(max_seq=seq)
-        client = SpadeClient(self._config, semantics=self._semantics)
-        if checkpoint is not None:
-            snapshot, meta = checkpoint
-            graph = graph_from_snapshot(snapshot, backend=client.backend)
-            client.engine.load_graph(graph)
-            offset = int(meta["wal_offset"])
-            at_seq = int(meta["wal_seq"])
-            if at_seq >= seq:
-                return client, offset, at_seq  # covered exactly
-        else:
-            # No checkpoint at or below seq.  Checkpoint zero is
-            # prune-exempt, so this is a deployment that never cut one (or
-            # a pre-time-travel directory): replay the whole prefix from
-            # an empty graph, which is correct whenever the WAL is the
-            # full history.
-            client.load([])
-            offset = 0
-            at_seq = 0
+        client, _, offset, at_seq = self._checkpoint_client(seq)
         _, offset, at_seq = self.replay_into(client, offset, seq, at_seq)
         return client, offset, at_seq
 
@@ -139,8 +150,8 @@ class AsofService:
     ) -> Tuple[int, int, int]:
         """Apply WAL records from byte ``offset`` with record seq <= ``seq``.
 
-        Mirrors :func:`repro.serve.recovery.recover`'s replay loop exactly
-        (same rejection-skipping), which is what keeps as-of states in
+        Each record goes through :func:`~repro.serve.recovery.apply_logged`,
+        the rule recovery replays by, which is what keeps as-of states in
         lockstep with what the live process computed.  Returns
         ``(applied, next_offset, at_seq)`` where ``next_offset`` is the
         byte just past the last applied record — the position a resident
@@ -154,13 +165,7 @@ class AsofService:
             for rec_seq, op in scan:
                 if rec_seq > seq:
                     break
-                try:
-                    client.apply([op])
-                except (ReproError, TypeError, ValueError):
-                    # Deterministic engine rejection the original process
-                    # also hit (and answered 400 for); skipping reproduces
-                    # its partial effect identically.
-                    pass
+                apply_logged(client, op)
                 applied += 1
                 offset = scan.next_offset
                 at_seq = rec_seq
@@ -201,9 +206,10 @@ class AsofService:
         :attr:`~repro.api.report.DetectionReport.exact`).  ``head``
         is the last durable sequence; ``seq`` outside ``[0, head]``
         raises :class:`~repro.errors.AsofRangeError` (→ HTTP 400).
-        Reconstruction happens outside the lock, so two concurrent cold
-        reads of the same sequence may both pay the replay — harmless,
-        the results are identical.
+        A miss resumes the replay cursor or rebuilds cold (module
+        docstring) outside the lock, so two concurrent cold reads of the
+        same sequence may both pay the replay — harmless, the results are
+        identical.
         """
         seq = int(seq)
         if seq < 0 or seq > head:
@@ -218,7 +224,15 @@ class AsofService:
             self.misses += 1
             self._tick("miss")
         started = time.perf_counter()
-        client = self.client_at(seq)
+        base = CheckpointStore(self._wal_dir).newest_seq(max_seq=seq)
+        with self._lock:
+            cursor, self._cursor = self._cursor, None
+        resumed = cursor is not None and cursor[1] == base and cursor[3] <= seq
+        if not resumed:
+            cursor = None  # the old client goes before the new one is built
+            cursor = self._checkpoint_client(seq)
+        client, base, offset, at_seq = cursor
+        applied, offset, at_seq = self.replay_into(client, offset, seq, at_seq)
         snapshot, report = client.snapshot(), client.detect()
         community = (
             report.community
@@ -229,19 +243,24 @@ class AsofService:
         elapsed = time.perf_counter() - started
         with self._lock:
             self.reconstruct_seconds += elapsed
+            self.resumes += resumed
+            self.replayed_ops += applied
+            self._cursor = (client, base, offset, at_seq)
             self._cache[seq] = entry
             self._cache.move_to_end(seq)
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
+        if resumed:
+            self._tick("resume")
         self._tick("reconstruct", elapsed)
         return entry
 
     def _tick(self, event: str, value: float = 1.0) -> None:
         """Fire the app-supplied metrics hook for ``event``, if any.
 
-        ``counters`` maps ``"hit"`` / ``"miss"`` / ``"reconstruct"`` to a
-        one-float callable (counter inc / histogram observe); the service
-        itself stays metrics-framework-agnostic.
+        ``counters`` maps ``"hit"`` / ``"miss"`` / ``"resume"`` /
+        ``"reconstruct"`` to a one-float callable (counter inc / histogram
+        observe); the service itself stays metrics-framework-agnostic.
         """
         hook = self._counters.get(event)
         if hook is not None:
@@ -255,6 +274,8 @@ class AsofService:
                 "capacity": self._cache_size,
                 "hits": self.hits,
                 "misses": self.misses,
+                "resumes": self.resumes,
+                "replayed_ops": self.replayed_ops,
                 "reconstruct_seconds": round(self.reconstruct_seconds, 6),
             }
 

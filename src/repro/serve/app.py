@@ -356,9 +356,13 @@ class ServeApp:
             m_misses = self.metrics.counter(
                 "repro_asof_cache_misses_total", "As-of snapshot cache misses"
             )
+            m_resumes = self.metrics.counter(
+                "repro_asof_resumes_total",
+                "Cold as-of reads that resumed the resident replay cursor",
+            )
             m_reconstruct = self.metrics.histogram(
                 "repro_asof_reconstruct_seconds",
-                "Cold as-of reconstructions (checkpoint load + WAL-suffix replay)",
+                "Cold as-of reads (checkpoint load or cursor resume + WAL replay)",
             )
             self.asof = AsofService(
                 config,
@@ -369,6 +373,7 @@ class ServeApp:
                 counters={
                     "hit": m_hits.inc,
                     "miss": m_misses.inc,
+                    "resume": m_resumes.inc,
                     "reconstruct": m_reconstruct.observe,
                 },
             )

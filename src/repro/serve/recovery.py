@@ -13,14 +13,12 @@ Bit-exactness
 The engine's peeling results are sensitive to *enumeration order*: vertex
 tie-breaks follow interner insertion order, and per-vertex incident
 weights accumulate in edge-pool order.  A CSR snapshot preserves both —
-``order`` is vertex insertion order and neighbor runs are pool runs — but
-flattening loses the *global* interleaving of edge arrivals across
-vertices.  :func:`edges_in_insertion_order` reconstructs a valid global
-order by merging the per-source out-runs and per-destination in-runs
-(each is a subsequence of the original arrival order, so a Kahn-style
-merge of the two partial orders exists and **any** linear extension
-rebuilds byte-identical pools).  ``tests/test_serve_recovery.py`` pins
-``freeze(rebuild(freeze(g))) == freeze(g)`` array for array.
+``order`` is vertex insertion order, labels are in dense-id order, and
+each neighbour run *is* that vertex's pool, in pool order — so no merge
+is needed: :func:`graph_from_snapshot` fills the backend's pools straight
+from the runs (``from_csr``).  ``tests/test_serve_recovery.py`` pins
+``freeze(from_csr(s)) == s`` array for array on both backends, and that
+the rebuilt graph keeps evolving exactly like the original.
 """
 
 from __future__ import annotations
@@ -28,14 +26,13 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from collections import deque
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.api.client import SpadeClient
 from repro.api.config import EngineConfig
 from repro.errors import ReproError, StorageError
-from repro.graph.backend import create_graph
+from repro.graph.backend import BACKENDS
 from repro.graph.csr import CsrSnapshot
 from repro.peeling.semantics import PeelingSemantics
 from repro.serve.wal import WriteAheadLog, scan_ops
@@ -43,7 +40,7 @@ from repro.serve.wal import WriteAheadLog, scan_ops
 __all__ = [
     "CheckpointStore",
     "RecoveredState",
-    "edges_in_insertion_order",
+    "apply_logged",
     "graph_from_snapshot",
     "recover",
 ]
@@ -51,88 +48,32 @@ __all__ = [
 PathLike = Union[str, Path]
 
 
-def edges_in_insertion_order(snapshot: CsrSnapshot) -> Iterator[Tuple[int, int, float]]:
-    """Yield ``(src_id, dst_id, weight)`` in a pool-faithful global order.
-
-    Emits every unique directed edge exactly once, such that replaying the
-    emissions through ``add_edge`` reproduces the snapshot's per-source
-    out-pool order *and* per-destination in-pool order — the two orders
-    the peeling paths are sensitive to.  Kahn's algorithm over the two
-    partial orders; O(|V| + |E|).
-    """
-    num = snapshot.num_ids
-    out_off = snapshot.out_offsets
-    out_nbr = snapshot.out_neighbors
-    out_w = snapshot.out_weights
-    in_off = snapshot.in_offsets
-    in_nbr = snapshot.in_neighbors
-
-    # Rank of each (src, dst) edge within dst's in-pool run.
-    in_rank: Dict[Tuple[int, int], int] = {}
-    for dst in range(num):
-        base = int(in_off[dst])
-        for rank in range(int(in_off[dst + 1]) - base):
-            in_rank[(int(in_nbr[base + rank]), dst)] = rank
-
-    out_ptr = [0] * num
-    in_ptr = [0] * num
-    ready: deque = deque()
-
-    def probe(src: int) -> None:
-        # Enqueue src if its current out-front edge is also its
-        # destination's current in-front edge.
-        pos = int(out_off[src]) + out_ptr[src]
-        if pos < int(out_off[src + 1]):
-            dst = int(out_nbr[pos])
-            if in_rank[(src, dst)] == in_ptr[dst]:
-                ready.append(src)
-
-    for vid in range(num):
-        probe(vid)
-
-    emitted = 0
-    while ready:
-        src = ready.popleft()
-        pos = int(out_off[src]) + out_ptr[src]
-        if pos >= int(out_off[src + 1]):
-            continue
-        dst = int(out_nbr[pos])
-        if in_rank[(src, dst)] != in_ptr[dst]:
-            # Stale candidate: the same vertex can be probed from both the
-            # out side and the in side before its front edge is emitted.
-            continue
-        yield src, dst, float(out_w[pos])
-        emitted += 1
-        out_ptr[src] += 1
-        in_ptr[dst] += 1
-        probe(src)
-        nxt = int(in_off[dst]) + in_ptr[dst]
-        if nxt < int(in_off[dst + 1]):
-            probe(int(in_nbr[nxt]))
-    if emitted != snapshot.num_edges:
-        raise StorageError(
-            f"checkpoint snapshot is not pool-consistent: merged {emitted} of "
-            f"{snapshot.num_edges} edges"
-        )
-
-
 def graph_from_snapshot(snapshot: CsrSnapshot, backend: str = "array"):
     """Rebuild a mutable graph whose pools mirror ``snapshot`` exactly.
 
-    Requires a snapshot saved with labels.  Vertices are added in dense-id
-    order (= original insertion order) with their priors; edges follow
-    :func:`edges_in_insertion_order` with their final accumulated weights.
+    Requires a snapshot saved with labels; dispatches to the backend's
+    ``from_csr``, which fills ids, priors and pools straight from the
+    snapshot's arrays.
     """
-    labels = snapshot.labels
-    if labels is None:
+    if snapshot.labels is None:
         raise StorageError("cannot rebuild a graph from a label-less snapshot")
-    graph = create_graph(backend)
-    weights = snapshot.vertex_weights
-    for vid in snapshot.order:
-        graph.add_vertex(labels[vid], float(weights[vid]))
-    for src, dst, weight in edges_in_insertion_order(snapshot):
-        graph.add_edge(labels[src], labels[dst], weight)
-    return graph
+    return BACKENDS[backend].from_csr(snapshot)
+
+
+def apply_logged(client: SpadeClient, op) -> None:
+    """Apply one WAL record the way the process that logged it did.
+
+    The one replay rule recovery and as-of reads share.  A record the
+    engine rejects deterministically (the gateway answered 400 for it;
+    the exception tuple mirrors the gateway's) is skipped: replaying
+    reproduces whatever partial effect it had and fails identically, so
+    skipping keeps the replay in lockstep with the original process
+    instead of crash-looping on one poisoned record.
+    """
+    try:
+        client.apply([op])
+    except (ReproError, TypeError, ValueError):
+        pass
 
 
 def _file_crc(path: PathLike) -> Tuple[int, int]:
@@ -254,19 +195,22 @@ class CheckpointStore:
             return None
         return int(digits)
 
-    def newest_seq(self) -> Optional[int]:
+    def newest_seq(self, max_seq: Optional[int] = None) -> Optional[int]:
         """WAL sequence of the newest *complete* checkpoint (no load).
 
         Filename-only probe for operational reporting (``/healthz``'s
-        ``checkpoint_seq``): completeness means the sidecar/payload pair
-        exists; the payload is not checksum-verified here — :meth:`latest`
-        does that when a checkpoint is actually loaded.
+        ``checkpoint_seq``) and the as-of resume decision (``max_seq``
+        bounds it like :meth:`latest`): completeness means the
+        sidecar/payload pair exists; the payload is not checksum-verified
+        here — :meth:`latest` does that when a checkpoint is actually
+        loaded.
         """
         seqs = [
             seq
             for meta in self._dir.glob("checkpoint-*.json")
             if meta.with_suffix(".npz").exists()
             and (seq := self._meta_seq(meta)) is not None
+            and (max_seq is None or seq <= max_seq)
         ]
         return max(seqs) if seqs else None
 
@@ -420,17 +364,7 @@ def recover(
     wal_path = WriteAheadLog.path_in(serve.wal_dir)
     ops, next_offset, corruption = scan_ops(wal_path, wal_offset)
     for seq, op in ops:
-        try:
-            client.apply([op])
-        except (ReproError, TypeError, ValueError):
-            # The original process logged this operation and then hit the
-            # same deterministic engine rejection (the gateway answers 400
-            # for these; the exception tuple mirrors the gateway's).
-            # Replaying reproduces whatever partial effect it had and
-            # fails identically — skipping keeps recovery in lockstep
-            # with the crashed process instead of crash-looping on one
-            # poisoned record.
-            pass
+        apply_logged(client, op)
         wal_seq = seq
     return RecoveredState(
         client,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -398,6 +399,7 @@ class TestAsofHttp:
                 ("GET", "/v1/detect?asof=-1", None),
                 ("GET", "/v1/detect?asof=x", None),
                 ("GET", "/healthz", None),
+                ("GET", "/metrics", None),
             ],
         )
         n = len(ROWS)
@@ -419,6 +421,11 @@ class TestAsofHttp:
         assert health["checkpoint_seq"] == 12  # last multiple of 4 edges
         cache = health["asof_cache"]
         assert cache["hits"] >= 1 and cache["misses"] >= 3
+        # asof=5 resumed the cursor asof=0 left (same base, checkpoint 0);
+        # asof=12 sits on its own checkpoint and rebuilt.
+        assert cache["resumes"] == 1
+        assert cache["replayed_ops"] == 5
+        assert "repro_asof_resumes_total 1" in results[n + 9][1].splitlines()
 
     def test_asof_without_wal_dir_is_400(self):
         config = EngineConfig(
@@ -537,6 +544,91 @@ class TestAsofService:
             assert cold["peel_index"] == fresh.best_index
             assert enumerate_csr(snapshot, first=community.vertices) == enumerate_csr(snapshot)
         assert service.hits >= 3
+
+
+#: 24 single-row posts with checkpoint_interval=5: checkpoints 0, 15 and
+#: 20 survive pruning, so reads land on three different bases.  The second
+#: half's weights are not dyadic, so a replay carried past a newer
+#: checkpoint drifts by an ulp from the rebuild the cold path does.
+CURSOR_ROWS = ROWS + [[dst, src, weight * 0.1 + 0.7] for src, dst, weight in ROWS]
+
+
+def _asof_answer(service, seq, head):
+    snapshot, community = service.state_at(seq, head)
+    arrays = [
+        getattr(snapshot, field).tolist()
+        for field in ("order", "member", "vertex_weights", "out_neighbors",
+                      "out_weights", "in_neighbors", "in_weights")
+    ]
+    return tuple(community), snapshot.labels, arrays
+
+
+@pytest.fixture(scope="module")
+def cursor_wal(tmp_path_factory):
+    """``(config, head, cold)``: a WAL and each sequence's cold answer."""
+    config = serve_config(tmp_path_factory.mktemp("cursor"), checkpoint_interval=5)
+    drive(ServeApp(config), _ingest_requests(CURSOR_ROWS))
+    head = len(CURSOR_ROWS)
+    cold = {
+        seq: _asof_answer(AsofService(config, cache_size=1), seq, head)
+        for seq in range(head + 1)
+    }
+    return config, head, cold
+
+
+class TestReplayCursor:
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        reads=st.lists(
+            st.integers(min_value=0, max_value=len(CURSOR_ROWS)), min_size=1, max_size=12
+        )
+    )
+    def test_answers_do_not_depend_on_read_order(self, cursor_wal, reads):
+        config, head, cold = cursor_wal
+        service = AsofService(config, cache_size=1)  # every new seq misses
+        for seq in reads:
+            assert _asof_answer(service, seq, head) == cold[seq], seq
+
+    def test_forward_read_replays_only_the_gap(self, cursor_wal):
+        config, head, cold = cursor_wal
+        service = AsofService(config, cache_size=1)
+        for start, end in ((2, 9), (9, 14), (15, 19), (20, 24)):
+            service.state_at(start, head)
+            before = service.cache_stats()
+            assert _asof_answer(service, end, head) == cold[end]
+            after = service.cache_stats()
+            assert after["resumes"] == before["resumes"] + 1
+            assert after["replayed_ops"] - before["replayed_ops"] == end - start
+        # Backwards (and onto an older base) rebuilds from checkpoint zero.
+        before = service.cache_stats()
+        assert _asof_answer(service, 3, head) == cold[3]
+        after = service.cache_stats()
+        assert after["resumes"] == before["resumes"]
+        assert after["replayed_ops"] - before["replayed_ops"] == 3
+
+    def test_concurrent_cold_reads_get_cold_answers(self, cursor_wal):
+        config, head, cold = cursor_wal
+        service = AsofService(config, cache_size=1)
+        service.state_at(1, head)  # a cursor for the two readers to race for
+        for pair in ((7, 12), (13, 3), (18, 22), (24, 6), (8, 11)):
+            barrier = threading.Barrier(len(pair))
+            answers = {}
+
+            def read(seq):
+                barrier.wait()
+                answers[seq] = _asof_answer(service, seq, head)
+
+            threads = [threading.Thread(target=read, args=(seq,)) for seq in pair]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for seq in pair:
+                assert answers[seq] == cold[seq], seq
 
 
 # ---------------------------------------------------------------------- #

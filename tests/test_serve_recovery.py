@@ -13,17 +13,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api.client import SpadeClient
 from repro.api.config import EngineConfig
 from repro.api.events import Delete, InsertBatch
-from repro.graph.backend import create_graph
+from repro.graph.backend import BACKENDS, create_graph
+from repro.graph.csr import freeze_graph
 from repro.graph.delta import EdgeUpdate
 from repro.serve.app import ServeApp
 from repro.serve.config import ServeConfig
 from repro.serve.recovery import (
     CheckpointStore,
-    edges_in_insertion_order,
     graph_from_snapshot,
     recover,
 )
@@ -74,15 +76,81 @@ class TestGraphReconstruction:
             assert np.array_equal(original, copy), field
         assert resnap.labels == snapshot.labels
 
-    def test_merge_covers_every_edge(self):
-        graph = create_graph("array")
-        edges = random_dyadic_edges(3, 300)
-        for src, dst, weight in edges:
-            graph.add_edge(src, dst, weight)
-        snapshot = graph.freeze()
-        merged = list(edges_in_insertion_order(snapshot))
-        assert len(merged) == snapshot.num_edges
-        assert len({(src, dst) for src, dst, _ in merged}) == len(merged)
+
+def graph_ops(*kinds):
+    """Graph mutation streams over a small vertex set.
+
+    Duplicates (weight accumulation through the slot index) and deletes
+    (pool shifts) are frequent.  ``"ghost"`` interns a label without
+    adding the vertex: an id that exists but is not a member.
+    """
+    return st.lists(
+        st.tuples(
+            st.sampled_from(["add", "add", "add", "del", "prior", *kinds]),
+            st.integers(0, 5),
+            st.integers(0, 5),
+            st.integers(1, 64),
+        ),
+        min_size=5,
+        max_size=60,
+    )
+
+
+def apply_graph_ops(graph, ops):
+    for kind, a, b, k in ops:
+        src, dst = f"v{a}", f"v{b}"
+        if kind == "add" and a != b:
+            graph.add_edge(src, dst, k / 16.0)
+        elif kind == "del" and graph.has_edge(src, dst):
+            graph.remove_edge(src, dst)
+        elif kind == "prior":
+            graph.add_vertex(src, k / 8.0)
+        elif kind == "ghost":
+            graph.interner.intern(f"ghost{a}")
+
+
+def assert_same_snapshot(actual, expected):
+    for field in SNAPSHOT_FIELDS:
+        got, want = getattr(actual, field), getattr(expected, field)
+        assert got.shape == want.shape, field
+        assert np.array_equal(got, want), field
+    assert actual.labels == expected.labels
+    assert actual.total_edge_weight == expected.total_edge_weight
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+class TestFromCsr:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=graph_ops("ghost"))
+    def test_freeze_round_trip_is_identity(self, backend, ops):
+        graph = create_graph(backend)
+        apply_graph_ops(graph, ops)
+        snapshot = freeze_graph(graph)
+        rebuilt = BACKENDS[backend].from_csr(snapshot)
+        assert_same_snapshot(freeze_graph(rebuilt), snapshot)
+        assert rebuilt.num_edges() == graph.num_edges()
+        assert rebuilt.num_vertices() == graph.num_vertices()
+        # Dyadic weights: every accumulation order gives the same sum.
+        assert [rebuilt.incident_weight(v) for v in graph.vertices()] == [
+            graph.incident_weight(v) for v in graph.vertices()
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    # No ghosts after the rebuild: a bare intern does not invalidate the
+    # original's cached freeze (the engine always follows it with add_vertex).
+    @given(ops=graph_ops("ghost"), more=graph_ops())
+    def test_rebuilt_graph_evolves_like_the_original(self, backend, ops, more):
+        graph = create_graph(backend)
+        apply_graph_ops(graph, ops)
+        snapshot = freeze_graph(graph)
+        before = {field: getattr(snapshot, field).copy() for field in SNAPSHOT_FIELDS}
+        rebuilt = BACKENDS[backend].from_csr(snapshot)
+        apply_graph_ops(graph, more)
+        apply_graph_ops(rebuilt, more)
+        assert_same_snapshot(freeze_graph(rebuilt), freeze_graph(graph))
+        # Nothing in the rebuilt graph aliases the read-only snapshot.
+        for field, original in before.items():
+            assert np.array_equal(getattr(snapshot, field), original), field
 
 
 class TestCheckpointStore:
