@@ -109,7 +109,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         result.add_note(
             f"sharded engine ({config.shards} shards): the per-flush detection "
             "is the exact merged coordinator pass, so per-edge times include a "
-            "global peel — see BENCH_shard.json for the insert-throughput win."
+            "global peel and do not isolate the sharded insert path."
         )
     return result
 

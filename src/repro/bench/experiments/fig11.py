@@ -82,8 +82,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         result.add_note(
             f"sharded engine ({config.shards} shards): the per-flush detection is "
             "the exact merged coordinator pass (a global peel), which dominates E "
-            "at small batch sizes — see BENCH_shard.json for the insert-throughput "
-            "win the sharding buys."
+            "at small batch sizes."
         )
     return result
 

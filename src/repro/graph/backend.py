@@ -13,7 +13,7 @@ class.  Two interchangeable implementations ship with the package:
 ``"array"``
     :class:`~repro.graph.array_graph.ArrayGraph` — interned ids over
     numpy edge pools with O(1) incident-weight maintenance; the fast path
-    for production-scale streams (see ``BENCH_backend.json``).
+    for production-scale streams.
 
 Both expose the same label-facing API *and* the dense-id hot-path API
 (``vertex_ids`` / ``*_id`` methods + the ``interner`` property), and the

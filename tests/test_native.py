@@ -54,6 +54,45 @@ needs_compiler = pytest.mark.skipif(
 
 SEMANTICS = {"DG": dg_semantics, "DW": dw_semantics, "FD": fraudar_semantics}
 
+HUB = "hub"
+
+
+def _hub_edges():
+    """400 vertices / 2 400 edges, each endpoint on an 8-vertex core w.p. 1/2.
+
+    The core's degrees exceed both ``SMALL_DEGREE`` and numpy's
+    128-element pairwise block, so the vectorised branch of the reorder's
+    weight recovery runs on this input (the small random graphs never get
+    there); the non-dyadic weights make any change in float association
+    order visible in the peeling weights.  The 56 core-to-core edges come
+    last, so in an insert stream over the tail each of them seeds the
+    reorder at a core vertex and recovers its weight.
+    """
+    rng = random.Random(5)
+
+    def endpoint():
+        return rng.randrange(8) if rng.random() < 0.5 else rng.randrange(8, 400)
+
+    seen, edges, degree = set(), [], [0] * 400
+    while len(edges) < 2400:
+        src, dst = endpoint(), endpoint()
+        if src == dst or (src, dst) in seen:
+            continue
+        seen.add((src, dst))
+        edges.append((src, dst, 1.0 + 4.0 * rng.random()))
+        degree[src] += 1
+        degree[dst] += 1
+    assert max(degree) > 128
+    edges.sort(key=lambda edge: edge[0] < 8 and edge[1] < 8)
+    return edges
+
+
+def _edges(source, num_vertices, num_edges):
+    """The hub-heavy input for ``HUB``, else a random graph seeded by ``source``."""
+    if source == HUB:
+        return _hub_edges()
+    return random_weighted_edges(num_vertices, num_edges, random.Random(source))
+
 
 def _assert_results_identical(a, b):
     assert list(a.order) == list(b.order)
@@ -77,18 +116,18 @@ def _assert_states_identical(left: PeelingState, right: PeelingState) -> None:
 @needs_native
 class TestStaticDifferential:
     @pytest.mark.parametrize("name", ["DG", "DW", "FD"])
-    @pytest.mark.parametrize("seed", [3, 41])
+    @pytest.mark.parametrize("seed", [3, 41, HUB])
     def test_peel_csr_bit_identical(self, name, seed):
-        rng = random.Random(seed)
         semantics = SEMANTICS[name]()
-        edges = random_weighted_edges(40, 220, rng)
-        graph = semantics.materialize(edges)
+        graph = semantics.materialize(_edges(seed, 40, 220))
         snapshot = freeze_graph(graph)
         python = peel_csr(snapshot, name, kernel="python")
         compiled = peel_csr(snapshot, name, kernel="native")
         _assert_results_identical(python, compiled)
-        # And both agree with the heap peel over the mutable graph.
-        _assert_results_identical(python, peel(graph, name))
+        if seed != HUB:
+            # With dyadic weights both also agree with the heap peel over
+            # the mutable graph, whichever backend holds it.
+            _assert_results_identical(python, peel(graph, name))
 
     def test_auto_matches_python(self):
         rng = random.Random(9)
@@ -120,14 +159,19 @@ class TestIncrementalDifferential:
             states.append(PeelingState(graph, semantics, kernel=kernel))
         return states
 
-    @pytest.mark.parametrize("name", ["DG", "DW", "FD"])
-    def test_insert_stream(self, name):
-        rng = random.Random(17)
+    @pytest.mark.parametrize(
+        "name, source",
+        [pytest.param(name, 17, id=name) for name in SEMANTICS]
+        + [pytest.param(name, HUB, id=f"{HUB}-{name}") for name in SEMANTICS],
+    )
+    def test_insert_stream(self, name, source):
         semantics = SEMANTICS[name]()
-        edges = random_weighted_edges(24, 120, rng)
-        python_state, native_state = self._paired_states(semantics, edges[:60])
+        edges = _edges(source, 24, 120)
+        # The hub input loads most of its edges and inserts the last 100.
+        split = len(edges) - 100 if source == HUB else 60
+        python_state, native_state = self._paired_states(semantics, edges[:split])
         _assert_states_identical(python_state, native_state)
-        for src, dst, weight in edges[60:]:
+        for src, dst, weight in edges[split:]:
             insert_edge(python_state, src, dst, weight)
             insert_edge(native_state, src, dst, weight)
             _assert_states_identical(python_state, native_state)
