@@ -31,8 +31,8 @@ store, ingest gateway and snapshot service around one shared
 ``GET /debug/traces``       slowest-recent recorded traces (``min_ms``,
                             ``limit``, ``trace_id`` filters) from the
                             in-memory ring
-``GET /debug/profile``      per-peel-phase wall-time counters, process +
-                            per-shard-worker, python vs. native kernel
+``GET /debug/profile``      per-peel-phase wall-time counters, python vs.
+                            native kernel
 ==========================  =====================================================
 
 Every data response carries the snapshot ``version`` (the WAL sequence it
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -83,9 +84,9 @@ RUNINFO_FILENAME = "server.json"
 
 
 def _parse_label(value: object) -> object:
-    """Validate a vertex label from the wire (JSON scalar, not null/bool).
+    """Validate a vertex label from the wire (string or finite number).
 
-    Anything else (objects, arrays, null) would be durably WAL-appended
+    Anything else (objects, arrays, null, nan) would be durably WAL-appended
     and then blow up inside the engine with a non-deterministic-looking
     ``TypeError`` — poisoning recovery.  Reject it before the queue.
     """
@@ -94,18 +95,24 @@ def _parse_label(value: object) -> object:
             return value
         raise HttpError(400, "vertex labels must be non-empty")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return value
+        if isinstance(value, int) or math.isfinite(value):
+            return value
+        raise HttpError(400, f"numeric vertex labels must be finite, got {value!r}")
     raise HttpError(400, f"vertex labels must be JSON strings or numbers, got {value!r}")
 
 
 def _parse_prior(value: object) -> Optional[float]:
-    """Validate an optional vertex prior (null or a non-negative number)."""
+    """Validate an optional vertex prior (null or a finite non-negative number)."""
     if value is None:
         return None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value >= 0:
-            return float(value)
-        raise HttpError(400, f"vertex priors must be >= 0, got {value}")
+        try:
+            prior = float(value)
+        except OverflowError:  # a JSON integer too large for a double
+            prior = math.inf
+        if math.isfinite(prior) and prior >= 0:
+            return prior
+        raise HttpError(400, f"vertex priors must be finite and >= 0, got {value}")
     raise HttpError(400, f"vertex priors must be numbers or null, got {value!r}")
 
 
@@ -133,10 +140,14 @@ def _parse_update(item: object) -> EdgeUpdate:
         raise HttpError(400, f"unsupported edge shape {item!r}")
     try:
         weight = float(weight)
+    except OverflowError:  # a JSON integer too large for a double
+        weight = math.inf
     except (TypeError, ValueError):
         raise HttpError(400, f"edge weight must be a number, got {weight!r}")
-    if weight <= 0:
-        raise HttpError(400, f"edge weight must be > 0, got {weight}")
+    if not math.isfinite(weight) or weight <= 0:
+        # ``nan <= 0`` is false: without the finiteness test a nan/inf
+        # weight would be WAL-appended before the engine rejects it.
+        raise HttpError(400, f"edge weight must be finite and > 0, got {weight}")
     src = _parse_label(src)
     dst = _parse_label(dst)
     if src == dst:
@@ -229,7 +240,7 @@ class ServeApp:
         self._m_build = self.metrics.gauge(
             "repro_build_info",
             "Deployment configuration (value is always 1; the labels carry it)",
-            labelnames=("version", "kernel", "backend", "shards", "workers"),
+            labelnames=("version", "kernel", "backend", "shards"),
         )
         self._m_traces = self.metrics.counter(
             "repro_traces_recorded_total",
@@ -241,12 +252,12 @@ class ServeApp:
         )
         self._m_profile_seconds = self.metrics.gauge(
             "repro_profile_seconds",
-            "Cumulative wall seconds per peel/reorder phase (process + workers)",
+            "Cumulative wall seconds per peel/reorder phase",
             labelnames=("phase", "kernel"),
         )
         self._m_profile_calls = self.metrics.gauge(
             "repro_profile_calls",
-            "Cumulative passes per peel/reorder phase (process + workers)",
+            "Cumulative passes per peel/reorder phase",
             labelnames=("phase", "kernel"),
         )
 
@@ -286,36 +297,11 @@ class ServeApp:
         self.checkpoint_fallbacks = recovered.checkpoint_fallbacks
         self.checkpoint_errors = 0
         self._m_checkpoint_fallbacks.inc(recovered.checkpoint_fallbacks)
-        self._worker_engine: Optional["WorkerEngine"] = None
-        if self.serve_config.workers > 1:
-            # Multi-core serving: recovery rebuilt the exact single-engine
-            # graph; hand it to process-resident shard workers as the
-            # coordinator mirror.  Deferred (grouped) edges are flushed
-            # first so no accepted update is lost in the lift — merged
-            # worker-mode detection is flush-consistent anyway.
-            from repro.api.client import SpadeClient
-            from repro.serve.workers import WorkerEngine
-
-            self.client.engine.flush_pending()
-            engine = WorkerEngine(
-                self.client.semantics,
-                num_shards=self.serve_config.workers,
-                edge_grouping=config.edge_grouping,
-                backend=self.client.backend,
-                coordinator_interval=config.coordinator_interval,
-                kernel=config.kernel,
-                metrics=self.metrics,
-                injector=self._injector,
-            )
-            engine.load_graph(self.client.graph)
-            self.client = SpadeClient.wrap(engine)
-            self._worker_engine = engine
         self._m_build.labels(
             version=__version__,
             kernel=self.active_kernel,
             backend=self.client.backend,
             shards=self.client.shards,
-            workers=self.serve_config.workers,
         ).set(1)
         self._lock = asyncio.Lock()
         self.service = SnapshotService(self.client, self._lock)
@@ -476,8 +462,6 @@ class ServeApp:
             self._wal.close()
         if self._event_log is not None:
             self._event_log.close()
-        if self._worker_engine is not None:
-            self._worker_engine.close()
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -855,14 +839,6 @@ class ServeApp:
             payload["asof_cache"] = self.asof.cache_stats()
         if self._indexer_task is not None:
             payload["history"] = self._indexer_task.status()
-        if self._worker_engine is not None:
-            payload["workers"] = {
-                "count": self._worker_engine.num_shards,
-                "pids": self._worker_engine.worker_pids(),
-                "restarts": list(self._worker_engine.worker_restarts),
-                "fallback": self._worker_engine.fallback,
-                "fallback_reason": self._worker_engine.fallback_reason,
-            }
         return json_response(200, payload)
 
     async def _handle_metrics(self, request: Request) -> Response:
@@ -872,7 +848,7 @@ class ServeApp:
         self._m_version.set(self.service.version)
         if self._indexer_task is not None:
             self._m_history_lag.set(self._indexer_task.lag)
-        self._refresh_profile_metrics(self._merged_profile())
+        self._refresh_profile_metrics(obs_profile.snapshot())
         return Response(
             200,
             self.metrics.render().encode("utf-8"),
@@ -903,16 +879,9 @@ class ServeApp:
             },
         )
 
-    def _merged_profile(self) -> Dict[str, Dict[str, float]]:
-        """Process counters + the latest snapshot from every shard worker."""
-        tables = [obs_profile.snapshot()]
-        if self._worker_engine is not None:
-            tables.extend(self._worker_engine.worker_profiles().values())
-        return obs_profile.merge(tables)
-
-    def _refresh_profile_metrics(self, merged: Dict[str, Dict[str, float]]) -> None:
-        """Mirror the merged profile table into the labeled gauges."""
-        for key, cell in merged.items():
+    def _refresh_profile_metrics(self, table: Dict[str, Dict[str, float]]) -> None:
+        """Mirror the process profile table into the labeled gauges."""
+        for key, cell in table.items():
             phase, kernel = obs_profile.split_key(key)
             self._m_profile_seconds.labels(phase=phase, kernel=kernel).set(
                 cell["seconds"]
@@ -923,19 +892,10 @@ class ServeApp:
 
     async def _handle_profile(self, request: Request) -> Response:
         process = obs_profile.snapshot()
-        workers = (
-            self._worker_engine.worker_profiles()
-            if self._worker_engine is not None
-            else {}
-        )
-        merged = obs_profile.merge([process, *workers.values()])
-        self._refresh_profile_metrics(merged)
+        self._refresh_profile_metrics(process)
+        # One process serves every phase, so ``merged`` (the key scrapers
+        # read) is the process table itself.
         return json_response(
             200,
-            {
-                "kernel": self.active_kernel,
-                "process": process,
-                "workers": workers,
-                "merged": merged,
-            },
+            {"kernel": self.active_kernel, "process": process, "merged": process},
         )

@@ -50,12 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not fsync WAL appends (faster, crash-durable only)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-resident shard workers (>= 2 enables multi-core ingest; 0 = in-process)",
-    )
-    parser.add_argument(
         "--kernel",
         choices=VALID_KERNELS,
         default=None,
@@ -136,8 +130,6 @@ def _resolve_config(args: argparse.Namespace) -> EngineConfig:
         overrides["wal_dir"] = args.wal_dir
     if args.no_fsync:
         overrides["fsync"] = False
-    if args.workers is not None:
-        overrides["workers"] = args.workers
     if args.faults is not None:
         overrides["faults"] = args.faults
     if args.history_db is not None or args.epoch_interval is not None:
@@ -176,8 +168,8 @@ async def _run(config: EngineConfig, initial_edges: Optional[List[tuple]]) -> No
     print(
         f"repro.serve listening on http://{app.serve_config.host}:{app.server.port} "
         f"(semantics={app.client.semantics.name}, backend={app.client.backend}, "
-        f"shards={app.client.shards}, workers={app.serve_config.workers}, "
-        f"kernel={app.active_kernel}, recovered_ops={app.recovered_ops})",
+        f"shards={app.client.shards}, kernel={app.active_kernel}, "
+        f"recovered_ops={app.recovered_ops})",
         flush=True,
     )
     stop = asyncio.Event()

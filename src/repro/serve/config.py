@@ -61,15 +61,6 @@ class ServeConfig:
         suffix past the latest checkpoint.
     max_body_bytes:
         Largest request body the HTTP server accepts (``413`` beyond).
-    workers:
-        Number of process-resident shard workers behind the gateway
-        (``repro.serve.workers``).  ``0`` (default) and ``1`` keep the
-        whole engine in the server process; ``>= 2`` hash-partitions the
-        graph across that many worker **processes** — true multi-core
-        ingest — while the coordinator keeps the exact global mirror, so
-        detections stay bit-identical to a single engine.  Supersedes the
-        engine-level ``shards`` knob for the served deployment (the
-        workers *are* the shards).
     probe_interval_ms:
         While ingest is read-only degraded (WAL append failed), how often
         the background probe re-tests the WAL directory for writability
@@ -77,7 +68,7 @@ class ServeConfig:
     faults:
         Path to a fault-injection plan JSON (``repro.serve.faults``), or
         ``None`` (the production default).  When set, the deployment's
-        WAL appends, checkpoint saves, and worker pipes run through a
+        WAL appends and checkpoint saves run through a
         deterministic :class:`~repro.serve.faults.FaultInjector` — the
         chaos-testing hook behind ``--faults`` and the CI chaos smoke.
     history:
@@ -104,7 +95,6 @@ class ServeConfig:
     fsync: bool = True
     checkpoint_interval: int = 10000
     max_body_bytes: int = 8 * 1024 * 1024
-    workers: int = 0
     probe_interval_ms: float = 200.0
     faults: Optional[str] = None
     history: Optional[HistoryConfig] = None
@@ -148,8 +138,6 @@ class ServeConfig:
             raise ConfigError(
                 f"max_body_bytes must be >= 1024, got {self.max_body_bytes}"
             )
-        if not 0 <= int(self.workers) <= 64:
-            raise ConfigError(f"workers must be in [0, 64], got {self.workers}")
         if self.probe_interval_ms <= 0:
             raise ConfigError(
                 f"probe_interval_ms must be > 0, got {self.probe_interval_ms}"

@@ -334,14 +334,6 @@ def recover(
     never depend on ``initial_edges`` again.
     """
     serve = config.serve
-    if serve is not None and serve.workers > 1:
-        # Worker mode: replay through the plain single-engine shape.  The
-        # worker coordinator's mirror is bit-identical to a single
-        # engine's graph (the PR 3 guarantee), so recovering single-engine
-        # and handing the mirror to the worker engine afterwards (see
-        # ``ServeApp``) reproduces exactly the state the crashed
-        # deployment held — without booting worker processes twice.
-        config = config.replace(shards=1)
     if serve is None or serve.wal_dir is None:
         client = SpadeClient(config, semantics=semantics)
         client.load(initial_edges or [])

@@ -18,11 +18,10 @@ Every acknowledged event is by construction in the WAL, so equality with
 the offline replay of the WAL is the durability statement in ISSUE 5.
 
 Both phases also pin *which path* answered ``GET /v1/detect``
-(``repro_detect_reads_total{source}``): a single engine must serve every
-read from the view its writer published (``peel`` stays 0), a
-worker-sharded one has no exact per-commit view and must peel
-(``maintained`` stays 0) — so a silent fallback, or a silent loss of it,
-fails CI instead of showing up as a latency regression.
+(``repro_detect_reads_total{source}``): the single DW engine must serve
+every read from the view its writer published (``peel`` stays 0,
+``maintained`` > 0) — so a silent fallback to peeling fails CI instead
+of showing up as a latency regression.
 
 Chaos mode (``--faults plan.json``) arms a deterministic
 :mod:`repro.serve.faults` plan for **phase 1 only** — the restart in
@@ -36,8 +35,8 @@ offline replay of the surviving WAL prefix bit for bit — a fault may
 *shrink* the acknowledged history at a documented boundary, but it must
 never silently diverge from it.  ``--expect`` pins the failure-handling
 path a plan is meant to exercise (``degraded``, ``wal-corruption``,
-``checkpoint-fallback``, ``worker-fallback``) and ``--report`` writes a
-JSON artifact of everything observed.
+``checkpoint-fallback``) and ``--report`` writes a JSON artifact of
+everything observed.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ __all__ = ["main", "run_smoke"]
 
 #: ``--expect`` vocabulary: which failure-handling path a fault plan must
 #: actually exercise (so a mistuned plan fails CI instead of proving nothing).
-EXPECTATIONS = ("degraded", "wal-corruption", "checkpoint-fallback", "worker-fallback")
+EXPECTATIONS = ("degraded", "wal-corruption", "checkpoint-fallback")
 
 
 def _wait_for_server(wal_dir: Path, proc: subprocess.Popen, timeout: float = 30.0) -> int:
@@ -121,7 +120,7 @@ def _request_full(
         connection.close()
 
 
-def _detect_source_failures(port: int, workers: int, phase: str) -> List[str]:
+def _detect_source_failures(port: int, phase: str) -> List[str]:
     """Which path served this server's ``/v1/detect`` reads so far."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
     try:
@@ -135,11 +134,10 @@ def _detect_source_failures(port: int, workers: int, phase: str) -> List[str]:
         for line in text.splitlines()
         if line.startswith(f'repro_detect_reads_total{{source="{source}"}} ')
     }
-    unexpected, expected = ("maintained", "peel") if workers > 1 else ("peel", "maintained")
-    if reads.get(unexpected) != 0 or not reads.get(expected):
+    if reads.get("peel") != 0 or not reads.get("maintained"):
         return [
-            f"{phase}: /v1/detect reads took the wrong path for workers={workers}: "
-            f"{reads} (want {unexpected}=0, {expected}>0)"
+            f"{phase}: /v1/detect reads took the wrong path: "
+            f"{reads} (want peel=0, maintained>0)"
         ]
     return []
 
@@ -200,17 +198,10 @@ def _trace_probe(
     chunk: List[List[object]],
     say,
     observed: Dict[str, object],
-    expect_worker_spans: bool,
     retries: int = 80,
     backoff: float = 0.15,
-) -> str:
-    """One fully traced bulk ingest + flush: header → ring → span tree.
-
-    Returns the bulk request's trace id.  The flush barrier scatters to
-    every shard, so with live workers its trace must carry
-    ``worker_roundtrip`` spans even if the bulk chunk's updates were all
-    parked by the coordinator.
-    """
+) -> None:
+    """One fully traced bulk ingest + flush: header → ring → span tree."""
     for _attempt in range(retries):
         status, body, headers = _request_full(
             port, "POST", "/v1/edges", {"edges": chunk}
@@ -244,10 +235,6 @@ def _trace_probe(
     flush_entry = payload["traces"][0]
     _assert_trace_well_formed(flush_entry)
     flush_names = {span["name"] for span in flush_entry["spans"]}
-    if expect_worker_spans:
-        assert "worker_roundtrip" in flush_names, (
-            f"flush barrier trace has no worker spans: {sorted(flush_names)}"
-        )
     observed["trace"] = {
         "trace_id": trace_id,
         "bulk_spans": sorted(names),
@@ -258,7 +245,6 @@ def _trace_probe(
         f"trace {trace_id} observable end-to-end "
         f"(spans: {', '.join(sorted(names))})"
     )
-    return trace_id
 
 
 def _spawn(config_path: Path) -> subprocess.Popen:
@@ -304,7 +290,6 @@ def _fraud_edges(num: int, seed: int = 11) -> List[List[object]]:
 def run_smoke(
     events: int = 600,
     checkpoint_interval: int = 150,
-    workers: int = 0,
     verbose: bool = True,
     faults: Optional[str] = None,
     expect: Optional[List[str]] = None,
@@ -315,12 +300,6 @@ def run_smoke(
     trace_log_copy: Optional[str] = None,
 ) -> int:
     """Run the kill-and-restart divergence check; return a process exit code.
-
-    With ``workers >= 2`` the server runs process-resident shard workers,
-    and the smoke adds a third failure mode between the ingest phases: one
-    shard worker is ``SIGKILL``\\ ed mid-stream and the server must respawn
-    it from the coordinator mirror (visible in ``/healthz`` restarts)
-    without losing exactness against the offline replay.
 
     ``faults`` arms a :mod:`repro.serve.faults` plan for phase 1 (the
     phase 2 restart boots clean); ``expect`` lists failure-handling paths
@@ -342,12 +321,10 @@ def run_smoke(
     phases with the JSONL event log at ``<wal-dir>/events.jsonl``.  At a
     rate >= 1.0 the smoke additionally pins the observability contract:
     a bulk ingest's ``X-Repro-Trace-Id`` is retrievable from
-    ``/debug/traces`` with queue-wait/WAL-append/engine-apply (and, with
-    live workers, worker-roundtrip) child spans, span parenting stays
-    well-formed across the worker ``kill -9`` → respawn sub-phase, and
-    the event log — which survives the server kill — holds the probe's
-    trace id.  ``trace_log_copy`` copies the event log out of the tempdir
-    (the CI artifact).
+    ``/debug/traces`` with queue-wait/WAL-append/engine-apply child spans
+    and well-formed parenting, and the event log — which survives the
+    server kill — holds the probe's trace id.  ``trace_log_copy`` copies
+    the event log out of the tempdir (the CI artifact).
     """
 
     def say(message: str) -> None:
@@ -362,7 +339,6 @@ def run_smoke(
 
     observed: Dict[str, object] = {
         "degraded": False,
-        "worker_fallback": False,
         "wal_corruption": None,
         "checkpoint_fallbacks": 0,
     }
@@ -380,7 +356,6 @@ def run_smoke(
                 "max_delay_ms": 2.0,
                 "max_batch": 64,
                 "checkpoint_interval": checkpoint_interval,
-                "workers": workers,
             },
         }
         if history_interval is not None:
@@ -434,81 +409,10 @@ def run_smoke(
             )
             status, pre_kill_health = _request(port, "GET", "/healthz")
             assert status == 200
-            worker_info = pre_kill_health.get("workers") or {}
-            if worker_info.get("fallback"):
-                observed["worker_fallback"] = True
-                say(
-                    f"shard workers fell back to the in-process engine "
-                    f"({worker_info.get('fallback_reason')})"
-                )
-            probe_trace_id: Optional[str] = None
             if trace_sample is not None and trace_sample >= 1.0:
-                workers_live = (
-                    workers > 1 and not worker_info.get("fallback")
-                )
-                probe_trace_id = _trace_probe(
-                    port,
-                    rows[:20],
-                    say,
-                    observed,
-                    expect_worker_spans=workers_live,
-                )
-            if workers > 1 and faults is None:
-                # Worker-crash phase: SIGKILL one shard worker, keep
-                # ingesting, and require a respawn before killing the
-                # whole server below.
-                status, health = _request(port, "GET", "/healthz")
-                assert status == 200 and "workers" in health, f"no worker info: {health}"
-                victim = int(health["workers"]["pids"][0])
-                os.kill(victim, signal.SIGKILL)
-                say(f"killed -9 shard worker pid {victim}")
-                stop = min(index + 50, len(rows))
-                while index < stop:
-                    chunk = rows[index : index + 25]
-                    status, _ = _request(port, "POST", "/v1/edges", {"edges": chunk})
-                    assert status == 200, f"post-worker-kill post failed: {status}"
-                    index += len(chunk)
-                # The flush barrier scatters to every shard, so the dead
-                # worker is discovered even if none of the 50 edges above
-                # happened to route a message to it.
-                status, _ = _request(port, "POST", "/v1/flush")
-                assert status == 200, f"post-worker-kill flush failed: {status}"
-                status, health = _request(port, "GET", "/healthz")
-                assert status == 200
-                restarts = health["workers"]["restarts"]
-                assert sum(restarts) >= 1, f"worker was not respawned: {health['workers']}"
-                say(f"worker respawned from the mirror (restarts={restarts})")
-                if trace_sample is not None and trace_sample >= 1.0:
-                    # The respawn happened inside some traced request; its
-                    # trace must hold a worker_respawn span with parenting
-                    # still well-formed — the id "survives" the respawn.
-                    status, payload = _request(
-                        port, "GET", "/debug/traces?limit=400"
-                    )
-                    assert status == 200
-                    respawn_entry = next(
-                        (
-                            entry
-                            for entry in payload["traces"]
-                            if any(
-                                span["name"] == "worker_respawn"
-                                for span in entry["spans"]
-                            )
-                        ),
-                        None,
-                    )
-                    assert respawn_entry is not None, (
-                        "no trace holds a worker_respawn span after the kill"
-                    )
-                    _assert_trace_well_formed(respawn_entry)
-                    trace_doc = observed.setdefault("trace", {})
-                    trace_doc["respawn_trace_id"] = respawn_entry["trace_id"]  # type: ignore[index]
-                    say(
-                        f"worker_respawn span recorded in trace "
-                        f"{respawn_entry['trace_id']}"
-                    )
+                _trace_probe(port, rows[:20], say, observed)
             resume_at = index
-            source_failures = _detect_source_failures(port, workers, "phase 1")
+            source_failures = _detect_source_failures(port, "phase 1")
             # Kill without ceremony, mid-stream.
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
@@ -549,7 +453,7 @@ def run_smoke(
             assert status == 200
             status, final_communities = _request(port, "GET", "/v1/communities?limit=5")
             assert status == 200
-            source_failures += _detect_source_failures(port, workers, "phase 2")
+            source_failures += _detect_source_failures(port, "phase 2")
             asof_failures: List[str] = []
             if history_interval is not None:
                 # Wait for the background indexer to catch up to the last
@@ -780,7 +684,6 @@ def run_smoke(
             "degraded": bool(observed["degraded"]),
             "wal-corruption": observed["wal_corruption"] is not None,
             "checkpoint-fallback": int(observed["checkpoint_fallbacks"]) >= 1,
-            "worker-fallback": bool(observed["worker_fallback"]),
         }
         for expectation in expect or []:
             if not satisfied[expectation]:
@@ -793,7 +696,6 @@ def run_smoke(
             report_doc = {
                 "events": events,
                 "checkpoint_interval": checkpoint_interval,
-                "workers": workers,
                 "faults": faults,
                 "expect": list(expect or []),
                 "observed": observed,
@@ -818,8 +720,8 @@ def run_smoke(
             return 1
         say(
             f"OK: recovery is bit-identical to the offline replay of "
-            f"{len(ops)} WAL ops ({sum(1 for _, o in ops)} operations, "
-            f"|S|={len(offline_community)}, g={offline_report.density:.6f})"
+            f"{len(ops)} WAL ops (|S|={len(offline_community)}, "
+            f"g={offline_report.density:.6f})"
         )
         return 0
 
@@ -831,12 +733,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--events", type=int, default=600)
     parser.add_argument("--checkpoint-interval", type=int, default=150)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="process-resident shard workers (adds a worker kill -9 phase when >= 2)",
-    )
     parser.add_argument(
         "--faults",
         default=None,
@@ -872,7 +768,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="enable end-to-end tracing at this sample rate (both phases); "
         ">= 1.0 additionally pins the header -> /debug/traces -> event-log "
-        "contract and span parenting across the worker respawn",
+        "contract",
     )
     parser.add_argument(
         "--trace-log-copy",
@@ -884,7 +780,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     return run_smoke(
         events=args.events,
         checkpoint_interval=args.checkpoint_interval,
-        workers=args.workers,
         verbose=not args.quiet,
         faults=args.faults,
         expect=args.expect,

@@ -16,12 +16,6 @@ The robustness contract under test:
 * WAL append failure degrades ingest to read-only (503 path raises
   :class:`~repro.errors.DegradedError`) while the probe re-enters
   read-write once appends succeed again.
-
-Worker crash-loop fallback is covered end to end by the CI chaos smoke
-(``benchmarks/fault_plans/worker_crashloop.json``); the in-process half
-(budget exhaustion raises :class:`~repro.errors.WorkerFallbackError`,
-never a bare ``AssertionError``) is asserted here without spawning
-processes.
 """
 
 from __future__ import annotations
@@ -424,35 +418,6 @@ class TestDegradedMode:
 
 
 class TestWorkerFallbackTyped:
-    def test_budget_exhaustion_raises_typed_error(self):
-        # A spawn that is always SIGKILLed exhausts the budget; the
-        # failure must surface as WorkerFallbackError (satellite: no bare
-        # assert in the respawn path), which WorkerEngine converts into
-        # in-process fallback (covered end to end by the chaos smoke).
-        from repro.peeling.semantics import dw_semantics
-        from repro.serve.workers import WorkerEngine
-
-        injector = FaultInjector(
-            plan({"site": "worker.spawn", "kind": "crash", "at": 1, "count": None})
-        )
-        engine = WorkerEngine(
-            dw_semantics(),
-            num_shards=2,
-            backend="array",
-            respawn_budget=2,
-            respawn_backoff=0.01,
-            injector=injector,
-        )
-        try:
-            engine.load_edges(random_dyadic_edges(6, 40))
-            assert engine.fallback
-            assert "after 2 attempts" in (engine.fallback_reason or "")
-            # Fallback still answers: the in-process shards serve.
-            report = engine.detect()
-            assert report.vertices
-        finally:
-            engine.close()
-
     def test_fallback_error_is_repro_error(self):
         from repro.errors import ReproError
 

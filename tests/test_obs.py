@@ -7,24 +7,17 @@ The tentpole guarantees under test:
 * one trace id is observable end to end — response header, the
   ``/debug/traces`` ring, and the JSONL event log all agree, with
   well-formed span parenting through the gateway, the WAL and the
-  worker round trips,
-* span parenting stays well-formed across a worker ``kill -9`` →
-  respawn (the ``worker_respawn`` span parents correctly),
+  engine apply,
 * sampling is deterministic in the trace id, and unsampled requests
   still carry an id while recording no spans,
-* the profiling counters aggregate python/native phase timings and
-  merge across worker snapshots.
-
-Worker tests spawn real processes; workloads stay small.
+* the profiling counters aggregate python/native phase timings.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import os
 import random
-import signal
 
 import pytest
 
@@ -34,18 +27,14 @@ from repro.obs import (
     ObsConfig,
     TraceContext,
     TraceRecorder,
-    activate,
-    deactivate,
     read_events,
     sample_decision,
 )
 from repro.obs import profile as obs_profile
 from repro.obs.__main__ import format_record
-from repro.peeling.semantics import dw_semantics
 from repro.serve.app import ServeApp
 from repro.serve.config import ServeConfig
 from repro.serve.metrics import Histogram, MetricsRegistry
-from repro.serve.workers import WorkerEngine
 
 
 @pytest.fixture(autouse=True)
@@ -512,79 +501,62 @@ class TestServeTracing:
         assert "repro_stage_seconds" in metrics_text
         assert "repro_traces_recorded_total" in metrics_text
 
-
-class TestWorkerTracing:
-    def _engine(self, metrics=None):
-        return WorkerEngine(
-            dw_semantics(), num_shards=2, coordinator_interval=16, metrics=metrics
+    def test_debug_profile_merged_is_the_process_table(self):
+        app = ServeApp(serve_config(obs={"trace_sample": 0.0, "slow_ms": 0.0}))
+        results = drive(
+            app,
+            [
+                ("POST", "/v1/edges", {"edges": bulk_edges(30, seed=5)}),
+                ("GET", "/v1/communities", None),
+                ("GET", "/debug/profile", None),
+                ("GET", "/metrics", None),
+            ],
         )
+        assert all(status == 200 for status, _b, _h in results)
+        profile, metrics_text = results[2][1], results[3][1]
+        assert set(profile) == {"kernel", "process", "merged"}
+        assert profile["merged"] == profile["process"]
+        assert profile["merged"], "ingest + communities must record phases"
+        for key, cell in profile["merged"].items():
+            phase, kernel = obs_profile.split_key(key)
+            assert phase
+            assert kernel in ("python", "native")
+            assert cell["calls"] >= 1
+            assert (
+                f'repro_profile_calls{{phase="{phase}",kernel="{kernel}"}}'
+                in metrics_text
+            )
 
-    def _workload(self, n=60, seed=3):
-        rng = random.Random(seed)
-        return [
-            (f"u{rng.randrange(25)}", f"p{rng.randrange(18)}", rng.randrange(8, 49) / 16.0)
-            for _ in range(n)
-        ]
-
-    def test_worker_roundtrip_spans_attach_to_active_trace(self):
-        edges = self._workload()
-        trace = TraceContext("w" * 16)
-        with self._engine() as workers:
-            workers.load_edges(edges[:40])
-            token = activate(trace)
-            try:
-                for src, dst, weight in edges[40:]:
-                    workers.insert_edge(src, dst, weight)
-            finally:
-                deactivate(token)
-        names = [span.name for span in trace.spans]
-        assert "worker_roundtrip" in names
-        roundtrips = [s for s in trace.spans if s.name == "worker_roundtrip"]
-        children = [s for s in trace.spans if s.name == "worker_apply"]
-        roundtrip_ids = {s.sid for s in roundtrips}
-        assert children, "worker_apply child spans expected"
-        assert all(child.parent in roundtrip_ids for child in children)
-        assert_parenting_well_formed(
-            [span.to_dict(trace.began) for span in trace.spans]
+    def test_sharded_bulk_trace_end_to_end(self, tmp_path):
+        config = EngineConfig(
+            semantics="DW",
+            backend="array",
+            shards=2,
+            serve=ServeConfig(
+                port=0,
+                wal_dir=str(tmp_path / "wal"),
+                fsync=False,
+                max_delay_ms=1.0,
+                obs={"trace_sample": 1.0, "slow_ms": 0.0},
+            ),
         )
-
-    def test_span_parenting_survives_kill_minus_nine_respawn(self):
-        edges = self._workload(80, seed=11)
-        trace = TraceContext("k" * 16)
-        with self._engine() as workers:
-            workers.load_edges(edges[:50])
-            victim = workers.worker_pids()[0]
-            os.kill(victim, signal.SIGKILL)
-            token = activate(trace)
-            try:
-                for src, dst, weight in edges[50:]:
-                    workers.insert_edge(src, dst, weight)
-            finally:
-                deactivate(token)
-            assert workers.worker_restarts[0] == 1
-        names = [span.name for span in trace.spans]
-        assert "worker_respawn" in names
-        respawn = next(s for s in trace.spans if s.name == "worker_respawn")
-        assert respawn.attrs["shard"] == 0
-        assert respawn.attrs["restarts"] == 1
-        assert_parenting_well_formed(
-            [span.to_dict(trace.began) for span in trace.spans]
+        results = drive(
+            ServeApp(config),
+            [
+                ("POST", "/v1/edges", {"edges": bulk_edges(40, seed=3)}),
+                ("GET", "/debug/traces?limit=10", None),
+            ],
         )
-
-    def test_worker_profiles_surface(self):
-        edges = self._workload(70, seed=5)
-        with self._engine() as workers:
-            workers.load_edges(edges[:40])
-            for src, dst, weight in edges[40:]:
-                workers.insert_edge(src, dst, weight)
-            profiles = workers.worker_profiles()
-        assert profiles, "at least one shard should report a profile table"
-        for table in profiles.values():
-            for key, cell in table.items():
-                phase, kernel = obs_profile.split_key(key)
-                assert phase
-                assert kernel in ("python", "native")
-                assert cell["calls"] >= 1
+        status, _body, headers = results[0]
+        assert status == 200
+        trace_id = headers["x-repro-trace-id"]
+        entry = next(
+            t for t in results[1][1]["traces"] if t["trace_id"] == trace_id
+        )
+        names = {span["name"] for span in entry["spans"]}
+        assert {"queue_wait", "wal_append", "engine_apply"} <= names
+        assert_parenting_well_formed(entry["spans"])
+        assert entry["annotations"]["wal_seq"] == 1
 
 
 class TestEventLogTooling:

@@ -19,10 +19,11 @@ from repro.api.config import EngineConfig
 from repro.api.events import Delete, Flush, InsertBatch
 from repro.errors import ConfigError, StorageError
 from repro.graph.delta import EdgeUpdate
-from repro.serve.app import ServeApp
+from repro.serve.app import ServeApp, _parse_update
 from repro.serve.config import ServeConfig
 from repro.serve.ingest import IngestGateway
 from repro.serve.metrics import MetricsRegistry, SIZE_BUCKETS
+from repro.serve.server import HttpError
 from repro.serve.snapshots import SnapshotService
 from repro.serve.wal import WriteAheadLog, decode_record, encode_op, read_ops
 
@@ -108,9 +109,26 @@ class TestServeConfig:
         with pytest.raises(ConfigError):
             ServeConfig(**bad)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            ServeConfig.from_dict({"prot": 8080})
+    @pytest.mark.parametrize("data", [{"prot": 8080}, {"workers": 4}])
+    def test_unknown_key_rejected(self, data):
+        with pytest.raises(ConfigError, match="valid keys: "):
+            ServeConfig.from_dict(data)
+
+    @pytest.mark.parametrize("entry", ["serve", "smoke"])
+    def test_removed_knob_has_no_flag(self, entry, capsys):
+        # ``workers`` left ServeConfig without an alias: an old command
+        # line naming it must fail in argparse, not run single-process.
+        flag = "--" + "workers"
+        if entry == "serve":
+            from repro.serve.cli import build_parser
+
+            parse = build_parser().parse_args
+        else:
+            from repro.serve.smoke import main as parse
+        with pytest.raises(SystemExit) as excinfo:
+            parse([flag, "4"])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_engine_config_nests_and_round_trips(self):
         config = EngineConfig(
@@ -221,6 +239,38 @@ class TestMetrics:
             registry.gauge("dup_total", "y")
 
 
+class TestMetricFamilies:
+    """The labeled child-metric model of ``repro.serve.metrics``."""
+
+    def test_family_children_render_under_one_header(self):
+        registry = MetricsRegistry()
+        family = registry.counter("jobs_total", "jobs", labelnames=("shard",))
+        family.labels(shard=0).inc()
+        family.labels(shard=1).inc(2)
+        family.labels(shard=0).inc()
+        text = registry.render()
+        assert text.count("# HELP jobs_total jobs") == 1
+        assert 'jobs_total{shard="0"} 2' in text
+        assert 'jobs_total{shard="1"} 2' in text
+
+    def test_histogram_family_merges_le_label(self):
+        registry = MetricsRegistry()
+        family = registry.histogram(
+            "batch_edges", "edges", buckets=SIZE_BUCKETS, labelnames=("shard",)
+        )
+        family.labels(shard=3).observe(2)
+        text = registry.render()
+        assert 'batch_edges_bucket{shard="3",le="2"} 1' in text
+        assert 'batch_edges_bucket{shard="3",le="+Inf"} 1' in text
+        assert 'batch_edges_sum{shard="3"} 2' in text
+
+    def test_wrong_label_names_rejected(self):
+        registry = MetricsRegistry()
+        family = registry.gauge("depth", "d", labelnames=("shard",))
+        with pytest.raises(ValueError):
+            family.labels(worker=1)
+
+
 class TestGatewayCoalescing:
     def _gateway(self, client, config):
         lock = asyncio.Lock()
@@ -290,6 +340,38 @@ class TestGatewayCoalescing:
         assert futures[2] is None
 
 
+class TestWireValidation:
+    """The validators that run on every edge before the ingest queue."""
+
+    @pytest.mark.parametrize(
+        "weight",
+        ["nan", "inf", "-inf", float("nan"), 10**400, 0],
+        ids=["str-nan", "str-inf", "str-neg-inf", "nan", "huge-int", "zero"],
+    )
+    def test_unusable_weight_rejected(self, weight):
+        with pytest.raises(HttpError) as excinfo:
+            _parse_update({"src": "a", "dst": "b", "weight": weight})
+        assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "prior",
+        [float("nan"), float("inf"), 10**400, -1],
+        ids=["nan", "inf", "huge-int", "negative"],
+    )
+    def test_unusable_prior_rejected(self, prior):
+        with pytest.raises(HttpError) as excinfo:
+            _parse_update({"src": "a", "dst": "b", "dst_prior": prior})
+        assert excinfo.value.status == 400
+
+    def test_finite_numbers_pass_through(self):
+        # An integer label is exact however large; only floats can be nan.
+        update = _parse_update(
+            {"src": 10**400, "dst": 2.5, "weight": "0.5", "src_prior": 3}
+        )
+        assert update == EdgeUpdate(10**400, 2.5, 0.5, src_weight=3.0)
+        assert isinstance(update.src_weight, float)
+
+
 class TestHttpSurface:
     def test_endpoints_end_to_end(self, tmp_path):
         app = ServeApp(serve_config(tmp_path))
@@ -346,9 +428,49 @@ class TestHttpSurface:
                 ("POST", "/v1/edges", {"op": "delete", "edges": [[["x"], "b"]]}),
                 ("GET", "/v1/communities?limit=abc", None),
                 ("GET", "/v1/communities?limit=0", None),
+                # Non-finite numbers: ``nan <= 0`` is false, so only an
+                # explicit finiteness check keeps them out of the WAL.
+                ("POST", "/v1/edges", {"src": "a", "dst": "b", "weight": "nan"}),
+                ("POST", "/v1/edges", {"src": "a", "dst": "b", "weight": "inf"}),
+                ("POST", "/v1/edges", {"src": "a", "dst": "b", "weight": float("nan")}),
+                ("POST", "/v1/edges", {"edges": [["a", "b", float("inf")]]}),
+                ("POST", "/v1/edges", {"src": float("nan"), "dst": "b"}),
+                ("POST", "/v1/edges", {"src": "a", "dst": float("-inf")}),
+                ("POST", "/v1/edges", {"src": "a", "dst": "b", "src_prior": float("nan")}),
+                ("POST", "/v1/edges", {"src": "a", "dst": "b", "dst_prior": float("inf")}),
+                ("POST", "/v1/edges", {"op": "delete", "edges": [[float("nan"), "b"]]}),
+                # JSON integers too large for a double overflow float().
+                ("POST", "/v1/edges", {"src": "a", "dst": "b", "weight": 10**400}),
+                ("POST", "/v1/edges", {"src": "a", "dst": "b", "src_prior": 10**400}),
             ],
         )
-        assert [status for status, _, _ in results] == [400] * 12
+        assert [status for status, _, _ in results] == [400] * 23
+        # Every rejection happened before the queue: nothing was logged.
+        ops, _ = read_ops(WriteAheadLog.path_in(tmp_path / "wal"))
+        assert ops == []
+
+    def test_build_info_labels_describe_the_deployment(self):
+        config = EngineConfig(
+            semantics="DW",
+            backend="array",
+            shards=2,
+            serve=ServeConfig(port=0, fsync=False, max_delay_ms=1.0),
+        )
+        app = ServeApp(config)
+        (health, metrics) = drive(
+            app, [("GET", "/healthz", None), ("GET", "/metrics", None)]
+        )
+        assert health[0] == 200 and "workers" not in health[1]
+        line = next(
+            row for row in metrics[1].splitlines() if row.startswith("repro_build_info{")
+        )
+        labels = dict(
+            pair.split("=", 1) for pair in line[line.index("{") + 1 : line.index("}")].split(",")
+        )
+        assert set(labels) == {"version", "kernel", "backend", "shards"}
+        assert labels["backend"] == '"array"'
+        assert labels["shards"] == '"2"'
+        assert line.endswith(" 1")
 
     def test_backpressure_answers_429_with_retry_after(self, tmp_path):
         config = serve_config(tmp_path, queue_size=1, max_batch=1, max_delay_ms=0.0)
@@ -684,8 +806,7 @@ class TestPublishOnCommit:
         assert restored.source == "maintained"
         assert restored.payload["density"] == restored_ack["density"]
 
-    @pytest.mark.parametrize("shape", ["shards", "workers"])
-    def test_inexact_engines_fall_back_to_one_peel_per_version(self, shape):
+    def test_inexact_engines_fall_back_to_one_peel_per_version(self):
         import random
 
         from tests.helpers import peel_phase_calls
@@ -696,15 +817,12 @@ class TestPublishOnCommit:
             src, dst = rng.randrange(12), rng.randrange(12)
             if src != dst:
                 rows.append((f"v{src}", f"v{dst}", rng.randint(1, 64) / 16.0))
-        knobs = dict(port=0, fsync=False, max_delay_ms=0.0)
-        if shape == "workers":
-            config = EngineConfig(
-                semantics="DW", backend="array", serve=ServeConfig(workers=2, **knobs)
-            )
-        else:
-            config = EngineConfig(
-                semantics="DW", backend="array", shards=2, serve=ServeConfig(**knobs)
-            )
+        config = EngineConfig(
+            semantics="DW",
+            backend="array",
+            shards=2,
+            serve=ServeConfig(port=0, fsync=False, max_delay_ms=0.0),
+        )
         offline = SpadeClient(EngineConfig(semantics="DW", backend="array"))
         offline.load([])
         app = ServeApp(config)

@@ -10,13 +10,15 @@ differ by the accumulated-total ulp drift the single engine has always
 had versus a from-scratch peel.
 
 Also covered here: the ``DetectionEngine`` protocol conformance of both
-implementations, the deterministic router partition, cross-shard queue
-semantics, the ``Spade.flush_pending`` empty-buffer fast path the
-coordinator tick relies on, and the process-parallel shard executor.
+implementations, the deterministic and balanced router partition,
+cross-shard queue semantics, the ``Spade.flush_pending`` empty-buffer
+fast path the coordinator tick relies on, and the process-parallel shard
+executor with its staged-snapshot cache.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -26,7 +28,9 @@ from hypothesis import strategies as st
 from repro.core.grouping import EdgeGrouper
 from repro.core.spade import Spade
 from repro.engine import DetectionEngine, ShardRouter, ShardedSpade, create_engine
+from repro.engine.parallel import _staged_path
 from repro.errors import StateError
+from repro.graph.backend import create_graph
 from repro.peeling.semantics import (
     dg_semantics,
     dw_semantics,
@@ -163,6 +167,41 @@ class TestShardRouter:
             ShardedSpade(num_shards=0)
         with pytest.raises(ValueError):
             ShardRouter(None, 0)
+
+
+class TestShardRouterBalance:
+    """The multiplicative hash spreads dense ids evenly across shards."""
+
+    @pytest.mark.parametrize("num_shards", [2, 4, 8])
+    def test_consecutive_ids_are_near_uniform(self, num_shards):
+        router = ShardRouter.__new__(ShardRouter)
+        router.num_shards = num_shards
+        total = 20000
+        counts = [0] * num_shards
+        for vid in range(total):
+            counts[router.shard_of_id(vid)] += 1
+        expected = total / num_shards
+        # Pearson chi-square against uniform; p=0.001 critical values are
+        # 10.8 (df=1), 16.3 (df=3), 24.3 (df=7) — a clumping hash (e.g.
+        # ``vid % k`` over strided cohorts) blows straight past these.
+        chi2 = sum((count - expected) ** 2 / expected for count in counts)
+        assert chi2 < 24.3
+        assert max(counts) - min(counts) <= 0.02 * expected
+
+    @pytest.mark.parametrize("num_shards", [4, 8])
+    def test_random_id_subsets_stay_balanced(self, num_shards):
+        # Active-vertex sets are arbitrary subsets of the id space, not
+        # prefixes; the partition must stay balanced on those too.
+        router = ShardRouter.__new__(ShardRouter)
+        router.num_shards = num_shards
+        rng = random.Random(1234)
+        sample = rng.sample(range(10**6), 8000)
+        counts = [0] * num_shards
+        for vid in sample:
+            counts[router.shard_of_id(vid)] += 1
+        expected = len(sample) / num_shards
+        chi2 = sum((count - expected) ** 2 / expected for count in counts)
+        assert chi2 < 24.3
 
 
 class TestShardedDifferential:
@@ -422,6 +461,24 @@ class TestGroupingAndParallel:
         parallel = sharded.shard_communities(parallel=True)
         assert [c.vertices for c in serial] == [c.vertices for c in parallel]
         assert [c.density for c in serial] == [c.density for c in parallel]
+
+
+class TestParallelSnapshotCache:
+    """Unchanged graphs reuse their staged ``.npz`` between calls."""
+
+    def test_unchanged_graph_skips_resave(self):
+        graph = create_graph("array")
+        graph.add_vertex("a", 1.0)
+        graph.add_vertex("b", 1.0)
+        graph.add_edge("a", "b", 2.0)
+        first = _staged_path(graph, graph.freeze())
+        mtime = os.path.getmtime(first)
+        again = _staged_path(graph, graph.freeze())
+        assert again == first
+        assert os.path.getmtime(first) == mtime
+        graph.add_edge("b", "a", 1.0)
+        changed = _staged_path(graph, graph.freeze())
+        assert changed != first
 
 
 class TestSeedThreading:
