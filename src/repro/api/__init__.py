@@ -3,8 +3,9 @@
 One config object, one client, one update stream, one report:
 
 * :class:`EngineConfig` — every construction knob (semantics, backend,
-  static path, shards, edge grouping, coordinator/executor options) in a
-  single validated frozen dataclass with dict/JSON round-tripping;
+  static path, shards, edge grouping, coordinator interval, kernel,
+  serving) in a single validated frozen dataclass with dict/JSON
+  round-tripping;
 * :class:`SpadeClient` — the context-manager façade over the engine
   layer: ``load`` / ``apply`` / ``detect`` / ``snapshot`` /
   ``communities``;
@@ -31,7 +32,6 @@ from repro.api.report import DetectionReport, EventOutcome
 from repro.config import (
     SEMANTICS_FACTORIES,
     VALID_BACKENDS,
-    VALID_EXECUTORS,
     VALID_SEMANTICS,
     VALID_STATIC,
     semantics_instance,
@@ -56,7 +56,6 @@ __all__ = [
     "semantics_instance",
     "SEMANTICS_FACTORIES",
     "VALID_BACKENDS",
-    "VALID_EXECUTORS",
     "VALID_SEMANTICS",
     "VALID_STATIC",
 ]

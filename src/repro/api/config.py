@@ -8,8 +8,7 @@ one frozen dataclass that validates on construction (through the central
 (:meth:`EngineConfig.to_dict` / :meth:`EngineConfig.from_dict`) so the
 same configuration can travel through JSON files, CLI flags and process
 boundaries unchanged.  ``EngineConfig.build()`` is the one construction
-path every in-repo consumer uses; the future native backend and
-process-resident shard workers plug in behind the same knobs.
+path every in-repo consumer uses.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ class EngineConfig:
     coordinator_interval:
         Cross-shard queue length that triggers an eager batch pass
         (sharded engines only).
-    executor:
-        ``"serial"`` / ``"process"`` — how a sharded engine computes
-        per-shard communities (sharded engines only).
     kernel:
         Hot-loop implementation for the peel and reorder inner loops
         (``"python"`` / ``"native"`` / ``"auto"``).  ``"native"`` runs the
@@ -68,10 +64,7 @@ class EngineConfig:
         Optional nested :class:`~repro.serve.config.ServeConfig` for the
         HTTP serving layer (``python -m repro.serve``).  ``None`` for
         in-process use; a plain mapping is coerced (and validated), so a
-        single JSON document configures engine *and* server.  Its
-        ``workers`` knob (``>= 2``) moves the shards into resident worker
-        *processes* for true multi-core ingest, superseding ``shards``
-        for that deployment.
+        single JSON document configures engine *and* server.
     """
 
     semantics: str = "DG"
@@ -80,7 +73,6 @@ class EngineConfig:
     shards: int = 1
     edge_grouping: bool = False
     coordinator_interval: int = 1024
-    executor: str = "serial"
     kernel: str = "auto"
     serve: Optional[ServeConfig] = None
 
@@ -90,7 +82,6 @@ class EngineConfig:
             backend=self.backend,
             static=self.static,
             shards=self.shards,
-            executor=self.executor,
             coordinator_interval=self.coordinator_interval,
             kernel=self.kernel,
         )
@@ -154,10 +145,7 @@ class EngineConfig:
         instance = semantics if semantics is not None else self.semantics_instance()
         options = {}
         if self.shards > 1:
-            options = {
-                "coordinator_interval": self.coordinator_interval,
-                "executor": self.executor,
-            }
+            options = {"coordinator_interval": self.coordinator_interval}
         return create_engine(
             instance,
             shards=self.shards,

@@ -34,7 +34,6 @@ from repro.peeling.semantics import (
 __all__ = [
     "SEMANTICS_FACTORIES",
     "VALID_BACKENDS",
-    "VALID_EXECUTORS",
     "VALID_KERNELS",
     "VALID_SEMANTICS",
     "VALID_STATIC",
@@ -53,8 +52,6 @@ SEMANTICS_FACTORIES: Dict[str, Callable[[], PeelingSemantics]] = {
 VALID_BACKENDS: Tuple[str, ...] = tuple(sorted(BACKENDS))
 #: Valid static-peel methods for the from-scratch baselines.
 VALID_STATIC: Tuple[str, ...] = ("heap", "csr")
-#: Valid shard-community executors of :class:`repro.engine.ShardedSpade`.
-VALID_EXECUTORS: Tuple[str, ...] = ("serial", "process")
 #: Valid built-in semantics names.
 VALID_SEMANTICS: Tuple[str, ...] = tuple(SEMANTICS_FACTORIES)
 
@@ -72,7 +69,6 @@ def validate_config(
     backend: Optional[str] = None,
     static: Optional[str] = None,
     shards: Optional[int] = None,
-    executor: Optional[str] = None,
     coordinator_interval: Optional[int] = None,
     kernel: Optional[str] = None,
 ) -> None:
@@ -80,7 +76,7 @@ def validate_config(
 
     Every argument is optional — only the knobs a caller actually has are
     checked, so the same helper serves ``Spade.__init__`` (backend only),
-    ``ShardedSpade.__init__`` (backend / shards / executor / interval),
+    ``ShardedSpade.__init__`` (backend / shards / interval),
     ``create_engine``, the bench CLIs and
     :class:`repro.api.EngineConfig` (everything).
 
@@ -96,8 +92,6 @@ def validate_config(
         _choice("static-peel method", static, VALID_STATIC)
     if shards is not None and shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards}")
-    if executor is not None:
-        _choice("executor", executor, VALID_EXECUTORS)
     if coordinator_interval is not None and coordinator_interval < 1:
         raise ConfigError(
             f"coordinator_interval must be >= 1, got {coordinator_interval}"

@@ -6,7 +6,7 @@
 * :class:`~repro.core.spade.Spade` — the paper's single engine (re-exported
   here as the single-shard implementation);
 * :class:`~repro.engine.sharded.ShardedSpade` — hash-partitioned shard
-  engines behind a coordinator queue, for multi-core scaling;
+  engines behind a coordinator queue;
 * :func:`create_engine` — the factory consumers (streaming replay, the
   Grab pipeline, the bench harness) construct engines through.
 """
@@ -45,9 +45,8 @@ def create_engine(
     returns a :class:`ShardedSpade` partitioned over that many shard
     engines.  ``kernel`` selects the hot-loop implementation
     (``"python"`` / ``"native"`` / ``"auto"``; ``None`` = process
-    default).  ``sharded_options`` (``coordinator_interval``,
-    ``executor``) are forwarded to :class:`ShardedSpade` and rejected for
-    the single engine.
+    default).  ``sharded_options`` (``coordinator_interval``) are
+    forwarded to :class:`ShardedSpade` and rejected for the single engine.
 
     Prefer constructing through :class:`repro.api.EngineConfig` /
     :class:`repro.api.SpadeClient`; this factory is the layer they build

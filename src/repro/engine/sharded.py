@@ -107,11 +107,6 @@ class ShardedSpade:
     coordinator_interval:
         Cross-shard queue length that triggers an eager batch pass; the
         queue is always drained before a merged detection regardless.
-    executor:
-        ``"serial"`` (default) or ``"process"`` — how
-        :meth:`shard_communities` computes per-shard communities.  The
-        process executor ships each shard's frozen CSR snapshot to worker
-        processes via the zero-copy ``.npz`` mmap load.
     """
 
     def __init__(
@@ -121,13 +116,11 @@ class ShardedSpade:
         edge_grouping: bool = False,
         backend: Optional[str] = None,
         coordinator_interval: int = 1024,
-        executor: str = "serial",
         kernel: Optional[str] = None,
     ) -> None:
         validate_config(
             backend=backend,
             shards=num_shards,
-            executor=executor,
             coordinator_interval=coordinator_interval,
             kernel=kernel,
         )
@@ -138,7 +131,6 @@ class ShardedSpade:
         self._backend = backend
         self._kernel = kernel
         self._coordinator_interval = coordinator_interval
-        self._executor = executor
         self._mirror = None
         self._router: Optional[ShardRouter] = None
         self._shards: List[Spade] = []
@@ -219,7 +211,15 @@ class ShardedSpade:
             graph = convert_graph(graph, self._backend)
         self._mirror = graph
         self._router = ShardRouter(graph.interner, self._num_shards)
-        self._boot_shards(self._partition_graphs())
+        self._shards = []
+        for shard_graph in self._partition_graphs():
+            shard = Spade(
+                self._shard_semantics,
+                edge_grouping=self._edge_grouping,
+                kernel=self._kernel,
+            )
+            shard.load_graph(shard_graph)
+            self._shards.append(shard)
         self._pending = []
         self._pending_has_delete = False
         self._version += 1
@@ -236,15 +236,6 @@ class ShardedSpade:
         )
         return self.load_graph(graph)
 
-    # ------------------------------------------------------------------ #
-    # Shard dispatch hooks
-    #
-    # Everything that touches a shard engine funnels through the methods
-    # in this section, so that alternative shard placements — notably the
-    # process-resident workers of :mod:`repro.serve.workers` — can
-    # override *where* shard maintenance runs without re-implementing the
-    # mirror/routing/parking discipline above them.
-    # ------------------------------------------------------------------ #
     def _partition_graphs(self) -> List[DynamicGraph]:
         """Deal the mirror into per-shard subgraphs (router-homed edges).
 
@@ -268,113 +259,6 @@ class ShardedSpade:
                 shard_graph.add_vertex(dst, graph.vertex_weight(dst))
             shard_graph.add_edge(src, dst, weight)
         return shard_graphs
-
-    def _build_shard_graph(self, home: int) -> DynamicGraph:
-        """Rebuild one shard's subgraph from the mirror (respawn path).
-
-        The shard state is *derived*: given the mirror and the router it
-        is reconstructible at any time, which is what makes a crashed
-        worker process recoverable without replaying the WAL twice.
-        """
-        graph = self._require_loaded()
-        router = self.router
-        shard_graph = create_graph(backend_of(graph))
-        for label in graph.interner:
-            if graph.has_vertex(label) and router.shard_of(label) == home:
-                shard_graph.add_vertex(label, graph.vertex_weight(label))
-        for src, dst, weight in graph.edges():
-            edge_home, cross = router.route_edge(src, dst)
-            if edge_home != home:
-                continue
-            if cross and not shard_graph.has_vertex(dst):
-                shard_graph.add_vertex(dst, graph.vertex_weight(dst))
-            shard_graph.add_edge(src, dst, weight)
-        return shard_graph
-
-    def _boot_shards(self, shard_graphs: List[DynamicGraph]) -> None:
-        """Construct the shard engines from their partitioned subgraphs."""
-        self._shards = []
-        for shard_graph in shard_graphs:
-            shard = Spade(
-                self._shard_semantics,
-                edge_grouping=self._edge_grouping,
-                kernel=self._kernel,
-            )
-            shard.load_graph(shard_graph)
-            self._shards.append(shard)
-
-    def _park(self, update: EdgeUpdate, home: int) -> None:
-        """Park one pre-weighted cross-shard update for the next drain."""
-        self._pending.append(update)
-        if update.delete:
-            self._pending_has_delete = True
-
-    def _dispatch_immediate(
-        self,
-        immediate: Dict[int, List[EdgeUpdate]],
-        batch: bool,
-        timestamp: Optional[float],
-        stats: ReorderStats,
-    ) -> None:
-        """Apply intra-shard insert updates to their owning shards."""
-        for home, routed in immediate.items():
-            shard = self._shards[home]
-            if not batch and len(routed) == 1:
-                update = routed[0]
-                shard.insert_edge(
-                    update.src,
-                    update.dst,
-                    update.weight,
-                    timestamp=timestamp,
-                    src_prior=update.src_weight,
-                    dst_prior=update.dst_weight,
-                )
-            else:
-                shard.insert_batch_edges(routed)
-            stats.merge(shard.last_stats)
-
-    def _dispatch_deletes(
-        self, immediate: Dict[int, List[Tuple[Vertex, Vertex]]], stats: ReorderStats
-    ) -> None:
-        """Apply intra-shard deletions to their owning shards."""
-        for home, doomed in immediate.items():
-            shard = self._shards[home]
-            shard.delete_edges(doomed)
-            stats.merge(shard.last_stats)
-
-    def _dispatch_parked(
-        self, per_home: Dict[int, List[EdgeUpdate]], stats: Optional[ReorderStats]
-    ) -> None:
-        """Apply each shard's drained queue slice as insert/delete runs."""
-        for home, ops in per_home.items():
-            shard = self._shards[home]
-            i = 0
-            while i < len(ops):
-                j = i
-                if ops[i].delete:
-                    while j < len(ops) and ops[j].delete:
-                        j += 1
-                    shard.delete_edges([(u.src, u.dst) for u in ops[i:j]])
-                else:
-                    while j < len(ops) and not ops[j].delete:
-                        j += 1
-                    shard.insert_batch_edges(ops[i:j])
-                if stats is not None:
-                    stats.merge(shard.last_stats)
-                i = j
-
-    def _flush_shards(self) -> None:
-        """Tick every shard's ``flush_pending`` (fast no-op when empty)."""
-        for shard in self._shards:
-            shard.flush_pending()
-
-    def _shard_communities(self) -> List[Community]:
-        """Every shard's currently maintained community, in shard order."""
-        return [shard.detect() for shard in self._shards]
-
-    def _shard_pending(self) -> int:
-        """Deferred (benign-buffered) edges across all shard engines."""
-        return sum(shard.pending_edges() for shard in self._shards)
 
     # ------------------------------------------------------------------ #
     # Detection
@@ -409,25 +293,10 @@ class ShardedSpade:
         self._coordinator_pass()
         return self._merged()
 
-    def shard_communities(self, parallel: Optional[bool] = None) -> List[Community]:
-        """Return every shard's current community (coordinator pass included).
-
-        With ``parallel=True`` (or ``executor="process"``) the per-shard
-        communities are recomputed from frozen CSR snapshots in worker
-        processes — bit-identical to the shards' maintained answers, per
-        the PR 1/2 static-vs-incremental guarantee.
-        """
+    def shard_communities(self) -> List[Community]:
+        """Return every shard's current community (coordinator pass included)."""
         self._coordinator_pass()
-        if parallel is None:
-            parallel = self._executor == "process"
-        if parallel:
-            from repro.engine.parallel import parallel_shard_results
-
-            results = parallel_shard_results(
-                [shard.graph for shard in self._shards], self._semantics.name
-            )
-            return [Community(r.community, r.best_density, r.best_index) for r in results]
-        return self._shard_communities()
+        return [shard.detect() for shard in self._shards]
 
     def enumerate_frauds(
         self,
@@ -468,13 +337,9 @@ class ShardedSpade:
         # a delete is in the queue.
         if self._pending_has_delete:
             self._apply_pending()
-        best: Optional[Community] = None
-        for community in self._shard_communities():
-            if best is None or community.density > best.density:
-                best = community
-        if best is None:
+        if not self._shards:
             raise StateError("no graph loaded; call load_graph or load_edges first")
-        return best
+        return max((shard.detect() for shard in self._shards), key=lambda c: c.density)
 
     # ------------------------------------------------------------------ #
     # Updates
@@ -523,12 +388,16 @@ class ShardedSpade:
             removed = True
             home, cross = self._router.route_edge(src, dst)
             if cross and self._num_shards > 1:
-                self._park(EdgeUpdate(src, dst, delete=True), home)
+                self._pending.append(EdgeUpdate(src, dst, delete=True))
+                self._pending_has_delete = True
                 self.cross_shard_updates += 1
             else:
                 immediate.setdefault(home, []).append((src, dst))
                 self.intra_shard_updates += 1
-        self._dispatch_deletes(immediate, stats)
+        for home, doomed in immediate.items():
+            shard = self._shards[home]
+            shard.delete_edges(doomed)
+            stats.merge(shard.last_stats)
         if removed:
             self._version += 1
         if len(self._pending) >= self._coordinator_interval:
@@ -579,13 +448,27 @@ class ShardedSpade:
                 dst_weight=mirror.vertex_weight(update.dst),
             )
             if cross and self._num_shards > 1:
-                self._park(pre, home)
+                self._pending.append(pre)
                 self.cross_shard_updates += 1
             else:
                 immediate.setdefault(home, []).append(pre)
                 self.intra_shard_updates += 1
 
-        self._dispatch_immediate(immediate, batch, timestamp, stats)
+        for home, routed in immediate.items():
+            shard = self._shards[home]
+            if not batch and len(routed) == 1:
+                update = routed[0]
+                shard.insert_edge(
+                    update.src,
+                    update.dst,
+                    update.weight,
+                    timestamp=timestamp,
+                    src_prior=update.src_weight,
+                    dst_prior=update.dst_weight,
+                )
+            else:
+                shard.insert_batch_edges(routed)
+            stats.merge(shard.last_stats)
 
         self._version += 1
         if len(self._pending) >= self._coordinator_interval:
@@ -612,12 +495,31 @@ class ShardedSpade:
         per_home: Dict[int, List[EdgeUpdate]] = {}
         for update in queue:
             per_home.setdefault(self._router.shard_of(update.src), []).append(update)
-        self._dispatch_parked(per_home, stats)
+        for home, ops in per_home.items():
+            shard = self._shards[home]
+            i = 0
+            while i < len(ops):
+                j = i
+                if ops[i].delete:
+                    while j < len(ops) and ops[j].delete:
+                        j += 1
+                    shard.delete_edges([(u.src, u.dst) for u in ops[i:j]])
+                else:
+                    while j < len(ops) and not ops[j].delete:
+                        j += 1
+                    shard.insert_batch_edges(ops[i:j])
+                if stats is not None:
+                    stats.merge(shard.last_stats)
+                i = j
 
     def _coordinator_pass(self) -> None:
-        """One coordinator tick: drain the queue, flush every shard."""
+        """One coordinator tick: drain the queue, flush every shard.
+
+        ``Spade.flush_pending`` is a fast no-op on an empty buffer.
+        """
         self._apply_pending()
-        self._flush_shards()
+        for shard in self._shards:
+            shard.flush_pending()
 
     def flush_pending(self) -> Community:
         """Force a coordinator pass; returns the shard-local view."""
@@ -626,7 +528,7 @@ class ShardedSpade:
 
     def pending_edges(self) -> int:
         """Cross-shard queue length plus per-shard grouper buffers."""
-        return len(self._pending) + self._shard_pending()
+        return len(self._pending) + sum(shard.pending_edges() for shard in self._shards)
 
     # ------------------------------------------------------------------ #
     # Built-ins exposed for inspection

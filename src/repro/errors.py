@@ -60,7 +60,7 @@ class ConfigError(ReproError, ValueError):
     """An engine was configured with an invalid knob value.
 
     Raised by :func:`repro.config.validate_config` — the single
-    validation choke point for backend / static-peel / shard / executor /
+    validation choke point for backend / static-peel / shard / kernel /
     semantics choices — with a message that lists the valid choices.
     Subclasses :class:`ValueError` so callers that historically caught
     ``ValueError`` around engine construction keep working.
@@ -112,16 +112,6 @@ class DegradedError(ReproError):
     def __init__(self, reason: str) -> None:
         super().__init__(f"serving degraded to read-only: {reason}")
         self.reason = reason
-
-
-class WorkerFallbackError(ReproError):
-    """A shard worker could not be (re)spawned into a usable state.
-
-    Raised by the worker engine's boot/respawn path when a worker dies
-    or times out before acknowledging its state load.  The respawn loop
-    retries within its budget; exhausting the budget triggers fallback
-    to the in-process engine rather than crashing the coordinator.
-    """
 
 
 class HistoryError(ReproError):

@@ -2,9 +2,8 @@
 
 The serving stack's per-request lens.  One :class:`TraceContext` is
 minted per HTTP request (``X-Repro-Trace-Id`` on every response) and
-carried through the ingest gateway, the WAL append, the engine apply,
-and — over the worker wire protocol — into resident shard workers, so
-``GET /debug/traces`` answers "where did *this* request spend its time".
+carried through the ingest gateway, the WAL append and the engine
+apply, so ``GET /debug/traces`` answers "where did *this* request spend its time".
 Recorded traces land in an in-memory :class:`TraceRecorder` ring and,
 when configured, a JSONL :class:`EventLog` that
 ``python -m repro.obs tail`` pretty-prints or follows.

@@ -10,18 +10,15 @@ ways at once:
 * **ambiently**, via :func:`activate` / :func:`current_trace`, inside
   the synchronous commit path.  ``_commit_sync`` activates the request's
   trace at the top of the executor thread, and everything downstream of
-  it — WAL append, engine apply, the worker scatter/gather — is
-  synchronous in that one thread, so deep layers (``wal.py``,
-  ``workers.py``) can attach spans without threading a trace argument
-  through every signature.
+  it — WAL append, engine apply — is synchronous in that one thread, so
+  deep layers (``wal.py``) can attach spans without threading a trace
+  argument through every signature.
 
 Span timings are absolute ``time.perf_counter()`` readings; they are
 made relative to the trace start only at export (:meth:`Span.to_dict`),
 so externally-timed intervals (a queue wait that began before the trace
 reached the gateway is still after the trace *started*) slot in without
-clock gymnastics.  Worker processes have incomparable ``perf_counter``
-clocks — the coordinator anchors their reported *durations* inside its
-own round-trip span instead of trusting their absolute readings.
+clock gymnastics.
 
 Concurrency: a trace is only ever touched by one thread at a time — the
 event-loop thread before submission and after the commit future
@@ -189,27 +186,18 @@ class TraceContext:
             self._stack.remove(span)
 
     def add_span(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        parent: Optional[Span] = None,
-        **attrs: object,
+        self, name: str, start: float, end: float, **attrs: object
     ) -> Optional[Span]:
         """Record an externally-timed interval; parents under the open span.
 
         ``start``/``end`` are ``perf_counter`` readings taken by the
         caller (a queue wait measured before the trace reached this
-        layer, a worker round-trip timed around a pipe).  An explicit
-        ``parent`` span overrides the stack.
+        layer, a detect timed around the executor hop).
         """
         if not self.sampled:
             return None
-        if parent is not None:
-            parent_sid: Optional[int] = parent.sid
-        else:
-            parent_sid = self._stack[-1].sid if self._stack else None
-        span = Span(next(self._ids), name, start, end, parent_sid, attrs or None)
+        parent = self._stack[-1].sid if self._stack else None
+        span = Span(next(self._ids), name, start, end, parent, attrs or None)
         self.spans.append(span)
         return span
 

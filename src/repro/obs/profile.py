@@ -11,13 +11,7 @@ consumed and which *kernel* (python or native) ran it:
   maintenance path);
 * ``reorder`` — Algorithm-2 window maintenance after insertions.
 
-Counters are cumulative since process start (or :func:`reset`).  Shard
-worker processes accumulate their own tables and ship a snapshot with
-every response; the coordinator keeps the latest per shard and merges
-them for ``/debug/profile``.  A respawned worker restarts its table from
-zero, so worker columns undercount across a respawn — acceptable for a
-profiling surface, and the restart itself is visible in
-``repro_worker_restarts_total``.
+Counters are cumulative since process start (or :func:`reset`).
 
 A lock guards the two-field update; the cost is one uncontended acquire
 per peel/reorder *pass* (not per edge), far below noise.
@@ -28,9 +22,9 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-__all__ = ["record", "timed", "snapshot", "merge", "reset"]
+__all__ = ["record", "timed", "snapshot", "reset"]
 
 _lock = threading.Lock()
 #: (phase, kernel) -> [calls, seconds]
@@ -69,25 +63,6 @@ def snapshot() -> Dict[str, Dict[str, float]]:
     }
 
 
-def merge(
-    snapshots: Iterable[Dict[str, Dict[str, float]]]
-) -> Dict[str, Dict[str, float]]:
-    """Sum several :func:`snapshot`-shaped tables into one."""
-    out: Dict[str, Dict[str, float]] = {}
-    for table in snapshots:
-        if not isinstance(table, dict):
-            continue
-        for key, cell in table.items():
-            if not isinstance(cell, dict):
-                continue
-            slot = out.setdefault(key, {"calls": 0, "seconds": 0.0})
-            slot["calls"] = int(slot["calls"]) + int(cell.get("calls", 0))
-            slot["seconds"] = round(
-                float(slot["seconds"]) + float(cell.get("seconds", 0.0)), 6
-            )
-    return dict(sorted(out.items()))
-
-
 def split_key(key: str) -> Tuple[str, str]:
     """``"phase[kernel]"`` -> ``("phase", "kernel")`` (label export)."""
     if key.endswith("]") and "[" in key:
@@ -97,6 +72,6 @@ def split_key(key: str) -> Tuple[str, str]:
 
 
 def reset() -> None:
-    """Zero the process-local table (tests, respawned workers)."""
+    """Zero the process-local table (tests)."""
     with _lock:
         _counters.clear()

@@ -17,14 +17,13 @@ Plan shape (one JSON object)::
         {"site": "wal.append",      "kind": "disk_full", "at": 8, "count": 4},
         {"site": "wal.append",      "kind": "bit_flip",  "at": 12},
         {"site": "wal.append",      "kind": "torn_write","at": 20},
-        {"site": "checkpoint.save", "kind": "truncate",  "at": 2},
-        {"site": "worker.post",     "kind": "eio",       "at": 30},
-        {"site": "worker.spawn",    "kind": "crash",     "at": 5, "count": null}
+        {"site": "checkpoint.save", "kind": "truncate",  "at": 2}
       ]
     }
 
 A rule fires on invocations ``at .. at+count-1`` of its site (1-based;
 ``count`` of ``null`` means forever; ``every`` adds a periodic repeat).
+``seed``, ``at``, ``count`` and ``every`` must be JSON integers.
 Counters are per-site and include degraded-mode probes on ``wal.append``,
 so a count-limited ``disk_full`` deterministically "frees disk space"
 after the configured number of failed appends/probes — which is exactly
@@ -45,13 +44,6 @@ Sites and the faults they accept
     ``truncate``  — the freshly written ``.npz`` payload is truncated
     before it is published (torn checkpoint);
     ``disk_full`` — the save raises ``OSError(ENOSPC)``.
-``worker.spawn``
-    ``crash`` — the freshly spawned shard worker is SIGKILLed
-    immediately (a crash-looping worker when the rule repeats).
-``worker.post`` / ``worker.collect``
-    ``eio`` / ``hang`` — the coordinator-side pipe operation fails
-    (raises :class:`InjectedFault`), which the worker engine treats
-    exactly like a broken pipe / request timeout.
 """
 
 from __future__ import annotations
@@ -60,7 +52,6 @@ import errno
 import json
 import os
 import random
-import signal
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -75,10 +66,14 @@ PathLike = Union[str, Path]
 SITE_KINDS: Dict[str, Tuple[str, ...]] = {
     "wal.append": ("disk_full", "eio", "torn_write", "bit_flip"),
     "checkpoint.save": ("truncate", "disk_full"),
-    "worker.spawn": ("crash",),
-    "worker.post": ("eio",),
-    "worker.collect": ("hang",),
 }
+
+
+def _integer(key: str, value: object) -> int:
+    """``value`` if it is an integer (``bool`` excluded), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"fault plan {key!r} must be an integer, got {value!r}")
+    return value
 
 
 class InjectedFault(OSError):
@@ -102,6 +97,10 @@ class FaultRule:
     every: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _integer("at", self.at)
+        for key in ("count", "every"):
+            if getattr(self, key) is not None:
+                _integer(key, getattr(self, key))
         kinds = SITE_KINDS.get(self.site)
         if kinds is None:
             raise ConfigError(
@@ -147,7 +146,7 @@ class FaultPlan:
 
     def __init__(self, rules: Sequence[FaultRule], seed: int = 0) -> None:
         self.rules: Tuple[FaultRule, ...] = tuple(rules)
-        self.seed = int(seed)
+        self.seed = _integer("seed", seed)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "FaultPlan":
@@ -173,12 +172,12 @@ class FaultPlan:
                 FaultRule(
                     site=site,
                     kind=kind,
-                    at=int(entry.get("at", 1)),
-                    count=None if entry.get("count", 1) is None else int(entry.get("count", 1)),
-                    every=None if entry.get("every") is None else int(entry["every"]),
+                    at=entry.get("at", 1),
+                    count=entry.get("count", 1),
+                    every=entry.get("every"),
                 )
             )
-        return cls(rules, seed=int(data.get("seed", 0)))  # type: ignore[arg-type]
+        return cls(rules, seed=data.get("seed", 0))  # type: ignore[arg-type]
 
     @classmethod
     def from_file(cls, path: PathLike) -> "FaultPlan":
@@ -279,23 +278,3 @@ class FaultInjector:
             handle.truncate(keep)
             handle.flush()
             os.fsync(handle.fileno())
-
-    # ------------------------------------------------------------------ #
-    # worker.* — consumed by WorkerEngine
-    # ------------------------------------------------------------------ #
-    def on_worker_spawn(self, pid: Optional[int]) -> None:
-        """Maybe SIGKILL a freshly spawned shard worker (crash loop)."""
-        invocation = self._next("worker.spawn")
-        rule = self._match("worker.spawn", invocation)
-        if rule is not None and pid is not None:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                pass
-
-    def on_worker_pipe(self, site: str, shard: int) -> None:
-        """Maybe fail a coordinator-side pipe op (``worker.post``/``collect``)."""
-        invocation = self._next(site)
-        rule = self._match(site, invocation)
-        if rule is not None:
-            raise InjectedFault(errno.EIO, site, rule.kind, invocation)

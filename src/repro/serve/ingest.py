@@ -139,7 +139,7 @@ class IngestGateway:
         )
         self._m_apply = metrics.histogram(
             "repro_engine_apply_seconds",
-            "Engine apply per operation (scatter/gather when worker-sharded)",
+            "Engine apply per operation",
         )
         self._m_latency = metrics.histogram(
             "repro_ingest_ack_seconds", "Submission enqueue to acknowledgment"
@@ -155,15 +155,11 @@ class IngestGateway:
             "repro_wal_errors_total",
             "WAL append failures and corrupt records dropped at recovery",
         )
-        # Shared with WorkerEngine (whichever constructs first registers).
-        try:
-            self._m_stage = metrics.get("repro_stage_seconds")
-        except KeyError:
-            self._m_stage = metrics.histogram(
-                "repro_stage_seconds",
-                "Per-request pipeline stage latency (tracing-independent)",
-                labelnames=("stage",),
-            )
+        self._m_stage = metrics.histogram(
+            "repro_stage_seconds",
+            "Per-request pipeline stage latency (tracing-independent)",
+            labelnames=("stage",),
+        )
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -434,11 +430,10 @@ class IngestGateway:
 
         Tracing: one submission's trace becomes the *primary* for each
         coalesced op — activated as the ambient trace for the duration
-        of the op so the WAL appender and the worker scatter/gather can
-        attach child spans without plumbing.  Every other sampled trace
-        in the op still gets the annotations (wal seq, which trace
-        carried the spans), so a coalesced-away request remains
-        attributable.
+        of the op so the WAL appender can attach its child span without
+        plumbing.  Every other sampled trace in the op still gets the
+        annotations (wal seq, which trace carried the spans), so a
+        coalesced-away request remains attributable.
         """
         results: List[Dict[str, object]] = []
         for op, submissions in ops:

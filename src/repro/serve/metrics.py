@@ -195,8 +195,8 @@ class Histogram:
 class MetricFamily:
     """A labeled family: one name/help, one child metric per label set.
 
-    The serving layer's shard workers need per-shard samples
-    (``repro_worker_queue_depth{shard="2"}``) under one ``# HELP`` /
+    Per-stage latencies need one sample set per label
+    (``repro_stage_seconds{stage="wal_append"}``) under one ``# HELP`` /
     ``# TYPE`` header — the Prometheus child-metric model.  ``labels()``
     returns (creating on first use) the child for one label valuation;
     children keep first-use order in the rendered output.

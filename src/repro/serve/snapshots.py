@@ -16,7 +16,7 @@ on one asyncio loop:
   attribute swap and N reads between commits format once.
 * **Peel fallback.**  An engine whose per-commit report is not what a
   static peel of its graph returns (``DetectionReport.exact`` is false:
-  in-process shards, resident workers, and FD, whose maintained sequence
+  in-process shards and FD, whose maintained sequence
   can settle on a different community than a fresh peel) publishes no
   view, and neither does an operation the engine rejected half-way.  The
   first ``detect`` read of such a version freezes the graph and peels

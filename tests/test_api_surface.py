@@ -79,7 +79,6 @@ REPRO_API_ALL = {
     "semantics_instance",
     "SEMANTICS_FACTORIES",
     "VALID_BACKENDS",
-    "VALID_EXECUTORS",
     "VALID_SEMANTICS",
     "VALID_STATIC",
 }
@@ -172,7 +171,7 @@ class TestEngineConfig:
             shards=4,
             edge_grouping=True,
             coordinator_interval=64,
-            executor="process",
+            kernel="python",
         )
         assert EngineConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -195,7 +194,7 @@ class TestEngineConfig:
             {"backend": "sqlite"},
             {"static": "gpu"},
             {"shards": 0},
-            {"executor": "thread"},
+            {"kernel": "gpu"},
             {"coordinator_interval": 0},
         ],
     )
@@ -231,9 +230,14 @@ class TestCentralValidation:
         with pytest.raises(ConfigError):
             repro.Spade(backend="sqlite")
 
-    def test_sharded_rejects_bad_executor(self):
-        with pytest.raises(ConfigError):
-            repro.ShardedSpade(num_shards=2, executor="thread")
+    def test_removed_executor_knob_is_rejected(self):
+        with pytest.raises(ConfigError, match="unknown EngineConfig keys: executor"):
+            EngineConfig.from_dict({"executor": "serial"})
+        removed = {"executor": "serial"}
+        with pytest.raises(TypeError):
+            repro.ShardedSpade(num_shards=2, **removed)
+        with pytest.raises(TypeError):
+            repro.create_engine(shards=2, **removed)
 
     def test_sharded_rejects_bad_shards(self):
         with pytest.raises(ConfigError):

@@ -23,14 +23,16 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import re
 import zlib
+from pathlib import Path
 
 import pytest
 
 from repro.api.client import SpadeClient
 from repro.api.config import EngineConfig
 from repro.api.events import InsertBatch
-from repro.errors import ConfigError, DegradedError, WorkerFallbackError
+from repro.errors import ConfigError, DegradedError
 from repro.graph.backend import create_graph
 from repro.graph.delta import EdgeUpdate
 from repro.serve.config import ServeConfig
@@ -69,6 +71,30 @@ def plan(*rules, seed=0):
     return FaultPlan([FaultRule(**rule) for rule in rules], seed=seed)
 
 
+#: (plan, the fragment its ConfigError must name)
+INVALID_PLANS = [
+    ({"faults": [{"site": "nope", "kind": "disk_full"}]}, "nope"),
+    ({"faults": [{"site": "wal.append", "kind": "crash"}]}, "crash"),
+    ({"faults": [{"site": "wal.append", "kind": "eio", "at": 0}]}, "'at'"),
+    ({"faults": [{"site": "wal.append", "kind": "eio", "typo": 1}]}, "typo"),
+    ({"faults": "not-a-list"}, "faults"),
+    ({"rules": []}, "rules"),
+    # Numbers must be JSON integers: no truncation, no bools.
+    ({"faults": [{"site": "wal.append", "kind": "eio", "at": 2.5}]}, "'at'"),
+    ({"faults": [{"site": "wal.append", "kind": "eio", "at": True}]}, "'at'"),
+    ({"faults": [{"site": "wal.append", "kind": "eio", "at": "x"}]}, "'at'"),
+    ({"faults": [{"site": "wal.append", "kind": "eio", "count": 1.5}]}, "'count'"),
+    ({"faults": [{"site": "wal.append", "kind": "eio", "every": [1]}]}, "'every'"),
+    ({"seed": 1.9, "faults": []}, "'seed'"),
+    ({"seed": "abc", "faults": []}, "'seed'"),
+    # The shard-worker sites left with the worker tier.
+    *(
+        ({"faults": [{"site": f"worker.{op}", "kind": kind}]}, f"worker.{op}")
+        for op, kind in (("spawn", "crash"), ("post", "eio"), ("collect", "hang"))
+    ),
+]
+
+
 class TestFaultPlan:
     def test_round_trips_through_dict(self):
         original = FaultPlan.from_dict(
@@ -76,7 +102,7 @@ class TestFaultPlan:
                 "seed": 42,
                 "faults": [
                     {"site": "wal.append", "kind": "disk_full", "at": 3, "count": 2},
-                    {"site": "worker.spawn", "kind": "crash", "count": None},
+                    {"site": "wal.append", "kind": "eio", "count": None},
                 ],
             }
         )
@@ -86,19 +112,21 @@ class TestFaultPlan:
         assert rebuilt.rules[1].count is None
 
     @pytest.mark.parametrize(
-        "bad",
-        [
-            {"faults": [{"site": "nope", "kind": "disk_full"}]},
-            {"faults": [{"site": "wal.append", "kind": "crash"}]},
-            {"faults": [{"site": "wal.append", "kind": "eio", "at": 0}]},
-            {"faults": [{"site": "wal.append", "kind": "eio", "typo": 1}]},
-            {"faults": "not-a-list"},
-            {"rules": []},
-        ],
+        "bad,named", INVALID_PLANS, ids=[f"bad{i}" for i in range(len(INVALID_PLANS))]
     )
-    def test_invalid_plans_rejected(self, bad):
-        with pytest.raises(ConfigError):
+    def test_invalid_plans_rejected(self, bad, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
             FaultPlan.from_dict(bad)
+
+    def test_committed_plans_load_and_are_documented(self):
+        plans_dir = Path(__file__).resolve().parents[1] / "benchmarks" / "fault_plans"
+        committed = sorted(path.name for path in plans_dir.glob("*.json"))
+        assert committed
+        for name in committed:
+            FaultPlan.from_file(plans_dir / name)
+        readme = (plans_dir / "README.md").read_text(encoding="utf-8")
+        documented = re.findall(r"^\| `([^`]+\.json)` \|", readme, flags=re.MULTILINE)
+        assert sorted(documented) == committed
 
     def test_every_site_kind_pair_is_constructible(self):
         for site, kinds in SITE_KINDS.items():
@@ -415,11 +443,3 @@ class TestDegradedMode:
         assert view.payload["community"] == sorted(map(str, expected.vertices))
         assert view.payload["density"] == expected.density
         assert view.payload["edges"] == 2
-
-
-class TestWorkerFallbackTyped:
-    def test_fallback_error_is_repro_error(self):
-        from repro.errors import ReproError
-
-        assert issubclass(WorkerFallbackError, ReproError)
-        assert not issubclass(WorkerFallbackError, AssertionError)

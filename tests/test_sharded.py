@@ -4,21 +4,20 @@ The central contract under test: ``ShardedSpade.detect()`` — the merged
 coordinator-pass detection — is *identical* to single-engine
 ``Spade.detect()`` for DG / DW / FD over mixed insert / delete / batch
 replays, for every shard count.  On dyadic streams the equality is bit
-level (sequence, weights, density); on lognormal replay workloads the
-vertex sets and peeling order are still identical while the density may
-differ by the accumulated-total ulp drift the single engine has always
-had versus a from-scratch peel.
+level (sequence, weights, density).  FD's non-dyadic weights let the
+single engine's *maintained* sequence settle on a different valid peel
+than a fresh one; there the sharded result must equal a fresh peel of
+the same graph bit for bit, and the single engine's sequence must be a
+valid peel of it.
 
 Also covered here: the ``DetectionEngine`` protocol conformance of both
 implementations, the deterministic and balanced router partition,
 cross-shard queue semantics, the ``Spade.flush_pending`` empty-buffer
-fast path the coordinator tick relies on, and the process-parallel shard
-executor with its staged-snapshot cache.
+fast path the coordinator tick relies on, and per-shard edge grouping.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -28,14 +27,13 @@ from hypothesis import strategies as st
 from repro.core.grouping import EdgeGrouper
 from repro.core.spade import Spade
 from repro.engine import DetectionEngine, ShardRouter, ShardedSpade, create_engine
-from repro.engine.parallel import _staged_path
 from repro.errors import StateError
-from repro.graph.backend import create_graph
 from repro.peeling.semantics import (
     dg_semantics,
     dw_semantics,
     fraudar_semantics,
 )
+from repro.peeling.guarantees import is_valid_peeling_sequence
 from repro.peeling.static import peel
 from repro.workloads.grab import GrabConfig, generate_grab_dataset
 
@@ -64,13 +62,13 @@ def _assert_exact_match(single: Spade, sharded: ShardedSpade, exact_floats: bool
     the single engine's maintained one bit for bit.
 
     With non-dyadic weights (FD's ``1/log``) the *single* engine's
-    maintained sequence has always been allowed ulp-level drift against a
-    from-scratch peel of its own graph (see ``assert_matches_static``); on
-    adversarial near-tie graphs that drift can flip an ordering.  The
-    sharded layer itself must still introduce **zero** error, which is
-    asserted by requiring its merged result to be bit-identical to a
-    fresh peel of the single engine's graph, plus density agreement with
-    the maintained result up to that historical drift.
+    maintained sequence may be a different valid peel than a from-scratch
+    peel of its own graph: ulp-level drift flips near-tie orderings, and
+    the community can move with them (``--hypothesis-seed=11`` finds one
+    with densities 0.5792 vs 0.5581).  The sharded layer itself must
+    still introduce **zero** error, which is asserted by requiring its
+    merged result to be bit-identical to a fresh peel of the single
+    engine's graph; the maintained sequence need only be a valid peel.
     """
     c1, c2 = single.detect(), sharded.detect()
     r1, r2 = single.result(), sharded.result()
@@ -85,7 +83,8 @@ def _assert_exact_match(single: Spade, sharded: ShardedSpade, exact_floats: bool
         assert list(fresh.order) == list(r2.order)
         assert list(fresh.weights) == list(r2.weights)
         assert fresh.community == c2.vertices
-        assert c2.density == pytest.approx(c1.density, rel=1e-9)
+        check = is_valid_peeling_sequence(single.graph, r1.order, r1.weights)
+        assert check.valid, check.message
 
 
 @st.composite
@@ -436,8 +435,8 @@ class TestFlushPendingFastPath:
         assert calls["flush"] == 0
 
 
-class TestGroupingAndParallel:
-    """Per-shard grouping and the process executor keep detection exact."""
+class TestShardGrouping:
+    """Per-shard grouping keeps detection exact; shards stay exact peels."""
 
     def test_grouped_sharded_detect_matches_ungrouped_single(self):
         rng = random.Random(6)
@@ -453,32 +452,18 @@ class TestGroupingAndParallel:
         # invisible to the exact result.
         _assert_exact_match(single, sharded)
 
-    def test_parallel_shard_communities_match_serial(self):
+    def test_shard_communities_match_static_peel_of_each_shard(self):
         rng = random.Random(7)
-        sharded = ShardedSpade(dw_semantics(), num_shards=2, backend="array")
+        sharded = ShardedSpade(dw_semantics(), num_shards=2, coordinator_interval=8)
         sharded.load_edges(random_weighted_edges(25, 90, rng))
-        serial = sharded.shard_communities(parallel=False)
-        parallel = sharded.shard_communities(parallel=True)
-        assert [c.vertices for c in serial] == [c.vertices for c in parallel]
-        assert [c.density for c in serial] == [c.density for c in parallel]
-
-
-class TestParallelSnapshotCache:
-    """Unchanged graphs reuse their staged ``.npz`` between calls."""
-
-    def test_unchanged_graph_skips_resave(self):
-        graph = create_graph("array")
-        graph.add_vertex("a", 1.0)
-        graph.add_vertex("b", 1.0)
-        graph.add_edge("a", "b", 2.0)
-        first = _staged_path(graph, graph.freeze())
-        mtime = os.path.getmtime(first)
-        again = _staged_path(graph, graph.freeze())
-        assert again == first
-        assert os.path.getmtime(first) == mtime
-        graph.add_edge("b", "a", 1.0)
-        changed = _staged_path(graph, graph.freeze())
-        assert changed != first
+        for src, dst, weight in random_weighted_edges(30, 40, rng):
+            sharded.insert_edge(src, dst, weight)
+        communities = sharded.shard_communities()
+        assert len(communities) == 2
+        for shard, community in zip(sharded.shards, communities):
+            fresh = peel(shard.graph, "DW")
+            assert community.vertices == fresh.community
+            assert community.density == fresh.best_density
 
 
 class TestSeedThreading:
