@@ -125,7 +125,6 @@ def main() -> None:
         serve=ServeConfig(
             port=0,
             wal_dir=wal_dir,
-            max_delay_ms=2.0,
             checkpoint_interval=5,
             # The sidecar: epoch every 2 WAL sequences, fast polling so the
             # demo does not wait.  ``python -m repro.serve --history-db auto``

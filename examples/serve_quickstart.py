@@ -56,7 +56,7 @@ def main() -> None:
     config = EngineConfig(
         semantics="DW",
         backend="array",
-        serve=ServeConfig(port=0, wal_dir=wal_dir, max_delay_ms=2.0),
+        serve=ServeConfig(port=0, wal_dir=wal_dir),
     )
 
     def first_session(port: int, recovered: int) -> None:

@@ -3,9 +3,8 @@
 One config object, one client, one update stream, one report:
 
 * :class:`EngineConfig` — every construction knob (semantics, backend,
-  static path, shards, edge grouping, coordinator interval, kernel,
-  serving) in a single validated frozen dataclass with dict/JSON
-  round-tripping;
+  shards, edge grouping, coordinator interval, kernel, serving) in a
+  single validated frozen dataclass with dict/JSON round-tripping;
 * :class:`SpadeClient` — the context-manager façade over the engine
   layer: ``load`` / ``apply`` / ``detect`` / ``snapshot`` /
   ``communities``;
@@ -33,7 +32,6 @@ from repro.config import (
     SEMANTICS_FACTORIES,
     VALID_BACKENDS,
     VALID_SEMANTICS,
-    VALID_STATIC,
     semantics_instance,
     validate_config,
 )
@@ -57,5 +55,4 @@ __all__ = [
     "SEMANTICS_FACTORIES",
     "VALID_BACKENDS",
     "VALID_SEMANTICS",
-    "VALID_STATIC",
 ]

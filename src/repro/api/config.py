@@ -1,14 +1,16 @@
 """``EngineConfig``: every construction knob in one validated, frozen place.
 
-Construction knobs used to live in three places — ``Spade(backend=...)``,
-``create_engine(shards=..., coordinator_interval=...)`` and the bench-only
-``--static heap|csr`` axis.  :class:`EngineConfig` captures all of them in
-one frozen dataclass that validates on construction (through the central
-:func:`repro.config.validate_config`) and round-trips through plain dicts
+Construction knobs used to live in two places — ``Spade(backend=...)`` and
+``create_engine(shards=..., coordinator_interval=...)``.  :class:`EngineConfig`
+captures all of them in one frozen dataclass that validates on
+construction (through the central :func:`repro.config.validate_config`) and round-trips through plain dicts
 (:meth:`EngineConfig.to_dict` / :meth:`EngineConfig.from_dict`) so the
 same configuration can travel through JSON files, CLI flags and process
 boundaries unchanged.  ``EngineConfig.build()`` is the one construction
-path every in-repo consumer uses.
+path every in-repo consumer uses.  The bench harness's ``--static
+heap|csr`` baseline axis is not an engine knob: it lives on
+:class:`repro.bench.harness.ExperimentConfig`, since the engine's load
+peel and the serving layer's snapshot peels are always ``peel_csr``.
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ class EngineConfig:
     backend:
         Graph backend (``"dict"`` / ``"array"``; ``None`` = process
         default).
-    static:
-        Static-peel method for from-scratch baselines (``"heap"`` /
-        ``"csr"``).  Consulted by the bench harness only: the engine's
-        load peel and the serving layer's snapshot peels are always
-        ``peel_csr``.
     shards:
         Number of shard engines (1 = single ``Spade``; > 1 builds a
         hash-partitioned :class:`~repro.engine.ShardedSpade`).
@@ -69,7 +66,6 @@ class EngineConfig:
 
     semantics: str = "DG"
     backend: Optional[str] = None
-    static: str = "heap"
     shards: int = 1
     edge_grouping: bool = False
     coordinator_interval: int = 1024
@@ -80,7 +76,6 @@ class EngineConfig:
         validate_config(
             semantics=self.semantics,
             backend=self.backend,
-            static=self.static,
             shards=self.shards,
             coordinator_interval=self.coordinator_interval,
             kernel=self.kernel,

@@ -16,13 +16,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.config import EngineConfig
-from repro.config import (
-    SEMANTICS_FACTORIES,
-    VALID_BACKENDS,
-    VALID_STATIC,
-    validate_config,
-)
+from repro.config import SEMANTICS_FACTORIES, VALID_BACKENDS, validate_config
 from repro.engine import DetectionEngine
+from repro.errors import ConfigError
 from repro.peeling.semantics import PeelingSemantics
 from repro.workloads.datasets import Dataset, generate_dataset
 
@@ -43,6 +39,8 @@ FULL_DATASETS = ["grab1", "grab2", "grab3", "grab4", "amazon", "wiki-vote", "epi
 QUICK_DATASETS = ["grab1-small", "grab2-small", "amazon-small", "wiki-vote-small"]
 FULL_GRAB = ["grab1", "grab2", "grab3", "grab4"]
 QUICK_GRAB = ["grab1-small", "grab2-small"]
+#: Static-peel methods for the from-scratch baselines (``--static``).
+STATIC_METHODS = ("heap", "csr")
 
 
 @dataclass
@@ -107,7 +105,6 @@ class ExperimentConfig:
         return EngineConfig(
             semantics=semantics,
             backend=self.backend,
-            static=self.static,
             shards=self.shards,
             edge_grouping=edge_grouping,
         )
@@ -261,7 +258,7 @@ def standard_argument_parser(description: str) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--static",
-        choices=list(VALID_STATIC),
+        choices=list(STATIC_METHODS),
         default="heap",
         help="static-peel method for baselines: heap (Algorithm 1) or csr "
         "(vectorised peel over a frozen CSR snapshot)",
@@ -295,5 +292,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     # One validation choke point for every experiment CLI (argparse
     # ``choices`` already guards flag values; this also covers configs
     # built programmatically and the shards count).
-    validate_config(backend=config.backend, static=config.static, shards=config.shards)
+    validate_config(backend=config.backend, shards=config.shards)
+    if config.static not in STATIC_METHODS:
+        raise ConfigError(
+            f"unknown static-peel method {config.static!r}; "
+            f"valid choices: {', '.join(STATIC_METHODS)}"
+        )
     return config

@@ -36,7 +36,6 @@ __all__ = [
     "VALID_BACKENDS",
     "VALID_KERNELS",
     "VALID_SEMANTICS",
-    "VALID_STATIC",
     "semantics_instance",
     "validate_config",
 ]
@@ -50,8 +49,6 @@ SEMANTICS_FACTORIES: Dict[str, Callable[[], PeelingSemantics]] = {
 
 #: Valid graph backends (the keys of the backend registry).
 VALID_BACKENDS: Tuple[str, ...] = tuple(sorted(BACKENDS))
-#: Valid static-peel methods for the from-scratch baselines.
-VALID_STATIC: Tuple[str, ...] = ("heap", "csr")
 #: Valid built-in semantics names.
 VALID_SEMANTICS: Tuple[str, ...] = tuple(SEMANTICS_FACTORIES)
 
@@ -67,7 +64,6 @@ def validate_config(
     *,
     semantics: Optional[str] = None,
     backend: Optional[str] = None,
-    static: Optional[str] = None,
     shards: Optional[int] = None,
     coordinator_interval: Optional[int] = None,
     kernel: Optional[str] = None,
@@ -88,8 +84,6 @@ def validate_config(
         _choice("semantics", semantics, VALID_SEMANTICS)
     if backend is not None:
         _choice("graph backend", backend, VALID_BACKENDS)
-    if static is not None:
-        _choice("static-peel method", static, VALID_STATIC)
     if shards is not None and shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards}")
     if coordinator_interval is not None and coordinator_interval < 1:

@@ -616,12 +616,7 @@ class ServeApp:
         except DegradedError as exc:
             raise self._degraded_http(exc) from exc
         if future is None:
-            retry_after = max(1, int(self.serve_config.max_delay_ms / 1000.0) + 1)
-            raise HttpError(
-                429,
-                "ingest queue is full",
-                headers={"Retry-After": str(retry_after)},
-            )
+            raise HttpError(429, "ingest queue is full", headers={"Retry-After": "1"})
         try:
             result = await future
         except DegradedError as exc:

@@ -1,7 +1,7 @@
 """``ServeConfig``: the serving-layer knobs, nested inside ``EngineConfig``.
 
-The serving subsystem adds deployment-shaped knobs (port, micro-batch
-window, WAL directory, checkpoint cadence) that belong in the same JSON
+The serving subsystem adds deployment-shaped knobs (port, batch bound,
+WAL directory, checkpoint cadence) that belong in the same JSON
 document as the engine knobs — one config file describes one deployment.
 :class:`ServeConfig` mirrors :class:`repro.api.EngineConfig`'s contract:
 a frozen dataclass that validates on construction and round-trips through
@@ -16,6 +16,8 @@ into every ``import repro.api``.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
@@ -38,11 +40,8 @@ class ServeConfig:
         at startup), which is what the bench and the CI smoke use.
     max_batch:
         Maximum number of edges coalesced into one Algorithm-2 batch pass
-        by the ingest gateway.
-    max_delay_ms:
-        Maximum milliseconds an accepted event may wait in the coalescing
-        window before it is committed (the latency half of the
-        throughput/latency trade).
+        by the ingest gateway.  The gateway never waits to fill a batch:
+        it commits whatever queued behind the previous commit.
     queue_size:
         Bound on the ingest queue (in submitted requests).  A full queue
         makes ``POST /v1/edges`` answer ``429`` with ``Retry-After``
@@ -89,7 +88,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8080
     max_batch: int = 256
-    max_delay_ms: float = 5.0
     queue_size: int = 1024
     wal_dir: Optional[str] = None
     fsync: bool = True
@@ -120,27 +118,37 @@ class ServeConfig:
             )
         if not isinstance(self.host, str) or not self.host:
             raise ConfigError(f"host must be a non-empty string, got {self.host!r}")
-        if not 0 <= int(self.port) <= 65535:
-            raise ConfigError(f"port must be in [0, 65535], got {self.port}")
-        if self.max_batch < 1:
-            raise ConfigError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_delay_ms < 0:
-            raise ConfigError(f"max_delay_ms must be >= 0, got {self.max_delay_ms}")
-        if self.queue_size < 1:
-            raise ConfigError(f"queue_size must be >= 1, got {self.queue_size}")
+        # A JSON config can carry 2.5, true or "10" where an int belongs
+        # (and bool is an int subclass), so integer knobs are checked by
+        # type before their range.
+        for name, low, high in (
+            ("port", 0, 65535),
+            ("max_batch", 1, None),
+            ("queue_size", 1, None),
+            ("checkpoint_interval", 1, None),
+            ("max_body_bytes", 1024, None),
+        ):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or value < low
+                or (high is not None and value > high)
+            ):
+                bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+                raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
         if self.wal_dir is not None and not isinstance(self.wal_dir, str):
             raise ConfigError(f"wal_dir must be a string path or None, got {self.wal_dir!r}")
-        if self.checkpoint_interval < 1:
+        if not isinstance(self.fsync, bool):
+            raise ConfigError(f"fsync must be true or false, got {self.fsync!r}")
+        if (
+            isinstance(self.probe_interval_ms, bool)
+            or not isinstance(self.probe_interval_ms, numbers.Real)
+            or not 0 < self.probe_interval_ms < math.inf
+        ):
             raise ConfigError(
-                f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}"
-            )
-        if self.max_body_bytes < 1024:
-            raise ConfigError(
-                f"max_body_bytes must be >= 1024, got {self.max_body_bytes}"
-            )
-        if self.probe_interval_ms <= 0:
-            raise ConfigError(
-                f"probe_interval_ms must be > 0, got {self.probe_interval_ms}"
+                f"probe_interval_ms must be a finite number > 0, "
+                f"got {self.probe_interval_ms!r}"
             )
         if self.faults is not None and not isinstance(self.faults, str):
             raise ConfigError(

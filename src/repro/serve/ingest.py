@@ -1,13 +1,15 @@
-"""The micro-batching ingest gateway: the serving layer's single writer.
+"""The group-commit ingest gateway: the serving layer's single writer.
 
 Concurrent ``POST /v1/edges`` handlers do not touch the engine.  They
 enqueue their parsed events on a bounded :class:`asyncio.Queue` and await
-a future; one writer task drains the queue, coalescing consecutive insert
-submissions into a single :class:`~repro.api.events.InsertBatch` — the
-paper's Algorithm-2 batch pass — bounded by ``max_batch`` edges or a
-``max_delay_ms`` window, whichever closes first.  Deletes and flushes are
-ordering barriers: they close the current window and are applied as their
-own operations, so the WAL replays exactly what happened.
+a future; one writer task commits them in windows.  A window is what
+queued behind the previous commit, up to ``max_batch`` edges: the writer
+never waits for more, so a lone post commits at once and a busy pipeline
+batches itself.  Consecutive insert submissions coalesce into a single
+:class:`~repro.api.events.InsertBatch` — the paper's Algorithm-2 batch
+pass.  Deletes and flushes are ordering barriers: they close the current
+window and are applied as their own operations, so the WAL replays
+exactly what happened.
 
 Commit protocol (per window, under the shared writer lock, off-loop)::
 
@@ -241,54 +243,19 @@ class IngestGateway:
     # ------------------------------------------------------------------ #
     # Writer task
     # ------------------------------------------------------------------ #
-    async def _get_with_timeout(self, timeout: float) -> Optional[Submission]:
-        """``queue.get`` with a timeout that can never lose a submission.
-
-        ``asyncio.wait_for`` on Python <= 3.11 can discard the result of a
-        ``get()`` that completed just as the timeout cancelled it — the
-        submission would leave the queue but never join a window, hanging
-        its HTTP request forever.  ``asyncio.wait`` does not cancel on
-        timeout, so the getter either yields the item (even when the
-        cancel below loses the race) or provably dequeued nothing.
-        """
-        getter = asyncio.ensure_future(self._queue.get())
-        try:
-            done, _pending = await asyncio.wait({getter}, timeout=timeout)
-        except asyncio.CancelledError:
-            getter.cancel()
-            raise
-        if getter in done:
-            return getter.result()
-        getter.cancel()
-        try:
-            return await getter
-        except asyncio.CancelledError:
-            return None
-
     async def _run(self) -> None:
-        max_delay = self._config.max_delay_ms / 1000.0
         while True:
             first = await self._queue.get()
             window = [first]
             edges = first.edges
-            # The coalescing window opens when the first submission was
-            # *enqueued*, not when the writer picked it up: work that
-            # queued behind the previous commit has already waited its
-            # share, so a saturated pipeline commits back-to-back with
-            # natural batching instead of sleeping max_delay per cycle.
-            deadline = first.enqueued_at + max_delay
-            # A delete/flush is an ordering barrier: it never coalesces
-            # with anything behind it.
+            # Group commit: take whatever queued behind the previous
+            # commit, never wait for more.  A delete/flush is an ordering
+            # barrier: it never coalesces with anything behind it.
             while first.kind == "insert" and edges < self._config.max_batch:
                 try:
                     nxt = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    nxt = await self._get_with_timeout(remaining)
-                    if nxt is None:
-                        break
+                    break
                 window.append(nxt)
                 edges += nxt.edges
                 if nxt.kind != "insert":

@@ -353,7 +353,6 @@ def run_smoke(
                 "port": 0,
                 "wal_dir": str(wal_dir),
                 "fsync": True,
-                "max_delay_ms": 2.0,
                 "max_batch": 64,
                 "checkpoint_interval": checkpoint_interval,
             },

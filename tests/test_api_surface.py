@@ -80,7 +80,6 @@ REPRO_API_ALL = {
     "SEMANTICS_FACTORIES",
     "VALID_BACKENDS",
     "VALID_SEMANTICS",
-    "VALID_STATIC",
 }
 
 EDGES = [("a", "b", 2.0), ("b", "c", 1.0), ("a", "c", 4.0), ("c", "d", 2.0)]
@@ -167,7 +166,6 @@ class TestEngineConfig:
         cfg = EngineConfig(
             semantics="FD",
             backend="array",
-            static="csr",
             shards=4,
             edge_grouping=True,
             coordinator_interval=64,
@@ -192,7 +190,6 @@ class TestEngineConfig:
         [
             {"semantics": "XX"},
             {"backend": "sqlite"},
-            {"static": "gpu"},
             {"shards": 0},
             {"kernel": "gpu"},
             {"coordinator_interval": 0},
@@ -238,6 +235,12 @@ class TestCentralValidation:
             repro.ShardedSpade(num_shards=2, **removed)
         with pytest.raises(TypeError):
             repro.create_engine(shards=2, **removed)
+
+    def test_removed_static_knob_is_rejected(self):
+        # ``--static`` is a bench-harness axis (ExperimentConfig), not an
+        # engine knob: the engine's peels are always peel_csr.
+        with pytest.raises(ConfigError, match="unknown EngineConfig keys: static"):
+            EngineConfig.from_dict({"static": "csr"})
 
     def test_sharded_rejects_bad_shards(self):
         with pytest.raises(ConfigError):

@@ -11,11 +11,14 @@ from repro.bench.harness import (
     ExperimentConfig,
     ExperimentResult,
     build_engine,
+    config_from_args,
     load_dataset,
     save_result,
+    standard_argument_parser,
 )
 from repro.bench.tables import render_markdown, render_table
 from repro.bench.timing import Timer, summarize, time_call
+from repro.errors import ConfigError
 from repro.peeling.semantics import dw_semantics
 
 
@@ -104,6 +107,14 @@ class TestHarness:
     def test_save_result_without_output_dir(self):
         result = ExperimentResult("exp", "desc")
         assert save_result(result, ExperimentConfig()) is None
+
+    def test_static_axis_is_a_harness_choice(self):
+        parser = standard_argument_parser("t")
+        args = parser.parse_args(["--quick", "--static", "csr"])
+        assert config_from_args(args).static == "csr"
+        args.static = "gpu"  # past argparse, e.g. a programmatic Namespace
+        with pytest.raises(ConfigError, match="static-peel method"):
+            config_from_args(args)
 
 
 QUICK = ExperimentConfig.quick_config(

@@ -353,7 +353,6 @@ class TestDegradedMode:
             port=0,
             wal_dir=str(tmp_path),
             fsync=False,
-            max_delay_ms=1.0,
             probe_interval_ms=probe_interval_ms,
         )
         wal = WriteAheadLog(tmp_path, fsync=False, injector=injector)

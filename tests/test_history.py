@@ -51,7 +51,6 @@ def serve_config(tmp_path, **overrides) -> EngineConfig:
         "port": 0,
         "wal_dir": str(tmp_path / "wal"),
         "fsync": False,
-        "max_delay_ms": 1.0,
     }
     knobs.update(overrides)
     return EngineConfig(semantics="DW", backend="array", serve=ServeConfig(**knobs))
@@ -477,7 +476,7 @@ class TestAsofHttp:
             backend="array",
             serve=ServeConfig(
                 port=0, wal_dir=str(wal_dir), fsync=False,
-                max_delay_ms=1.0, checkpoint_interval=3,
+                checkpoint_interval=3,
             ),
         )
         app = ServeApp(config)

@@ -89,7 +89,6 @@ def serve_config(tmp_path=None, **overrides) -> EngineConfig:
         "port": 0,
         "wal_dir": str(tmp_path / "wal") if tmp_path is not None else None,
         "fsync": False,
-        "max_delay_ms": 1.0,
     }
     knobs.update(overrides)
     return EngineConfig(semantics="DW", backend="array", serve=ServeConfig(**knobs))
@@ -531,7 +530,6 @@ class TestServeTracing:
                 port=0,
                 wal_dir=str(tmp_path / "wal"),
                 fsync=False,
-                max_delay_ms=1.0,
                 obs={"trace_sample": 1.0, "slow_ms": 0.0},
             ),
         )

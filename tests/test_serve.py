@@ -80,7 +80,6 @@ def serve_config(tmp_path=None, **overrides) -> EngineConfig:
         "port": 0,
         "wal_dir": str(tmp_path / "wal") if tmp_path is not None else None,
         "fsync": False,
-        "max_delay_ms": 1.0,
     }
     knobs.update(overrides)
     return EngineConfig(semantics="DW", backend="array", serve=ServeConfig(**knobs))
@@ -98,18 +97,34 @@ class TestServeConfig:
             {"port": -1},
             {"port": 70000},
             {"max_batch": 0},
-            {"max_delay_ms": -0.1},
             {"queue_size": 0},
             {"checkpoint_interval": 0},
             {"max_body_bytes": 10},
             {"host": ""},
+            # Malformed JSON numbers: strings, bools, fractions, inf/nan.
+            {"port": "8080"},
+            {"port": True},
+            {"port": 80.5},
+            {"port": "abc"},
+            {"max_batch": True},
+            {"max_batch": 2.5},
+            {"max_batch": "10"},
+            {"queue_size": 2.5},
+            {"queue_size": True},
+            {"checkpoint_interval": 2.5},
+            {"max_body_bytes": float("inf")},
+            {"probe_interval_ms": float("nan")},
+            {"fsync": "false"},
         ],
     )
     def test_bad_knobs_rejected(self, bad):
-        with pytest.raises(ConfigError):
-            ServeConfig(**bad)
+        (key,) = bad
+        with pytest.raises(ConfigError, match=key):
+            ServeConfig.from_dict(bad)
 
-    @pytest.mark.parametrize("data", [{"prot": 8080}, {"workers": 4}])
+    @pytest.mark.parametrize(
+        "data", [{"prot": 8080}, {"workers": 4}, {"max_delay_ms": -0.1}]
+    )
     def test_unknown_key_rejected(self, data):
         with pytest.raises(ConfigError, match="valid keys: "):
             ServeConfig.from_dict(data)
@@ -282,7 +297,7 @@ class TestGatewayCoalescing:
         async def scenario():
             client = SpadeClient(EngineConfig(semantics="DW", backend="array"))
             client.load([])
-            config = ServeConfig(port=0, max_batch=64, max_delay_ms=20.0, queue_size=16)
+            config = ServeConfig(port=0, max_batch=64, queue_size=16)
             gateway, service = self._gateway(client, config)
             gateway.start()
             futures = [
@@ -299,11 +314,39 @@ class TestGatewayCoalescing:
         assert {result["wal_seq"] for result in results} == {1}
         assert version == 1
 
+    def test_group_commit_takes_what_queued_behind_the_commit(self):
+        async def scenario():
+            client = SpadeClient(EngineConfig(semantics="DW", backend="array"))
+            client.load([])
+            registry = MetricsRegistry()
+            lock = asyncio.Lock()
+            service = SnapshotService(client, lock)
+            gateway = IngestGateway(
+                client, service, lock, ServeConfig(port=0), registry
+            )
+            gateway.start()
+            async with lock:
+                first = gateway.submit("insert", [EdgeUpdate("u0", "v0", 1.0)], 1)
+                await asyncio.sleep(0.05)  # writer took it alone, blocks on the lock
+                rest = [
+                    gateway.submit("insert", [EdgeUpdate(f"u{i}", f"v{i}", 1.0)], 1)
+                    for i in range(1, 4)
+                ]
+            results = await asyncio.gather(first, *rest)
+            await gateway.stop()
+            return results, registry.render()
+
+        results, metrics = asyncio.run(scenario())
+        # The lone first post commits without waiting for company; the
+        # three that queued behind its commit share the next one.
+        assert [result["wal_seq"] for result in results] == [1, 2, 2, 2]
+        assert "repro_ingest_batches_total 2" in metrics.splitlines()
+
     def test_delete_is_a_barrier(self):
         async def scenario():
             client = SpadeClient(EngineConfig(semantics="DW", backend="array"))
             client.load([("a", "b", 2.0), ("b", "c", 1.0)])
-            config = ServeConfig(port=0, max_batch=64, max_delay_ms=20.0, queue_size=16)
+            config = ServeConfig(port=0, max_batch=64, queue_size=16)
             gateway, service = self._gateway(client, config)
             # Enqueue before starting the writer so the whole sequence is
             # one window: insert, delete (barrier), insert.
@@ -326,7 +369,7 @@ class TestGatewayCoalescing:
         async def scenario():
             client = SpadeClient(EngineConfig(semantics="DW", backend="array"))
             client.load([])
-            config = ServeConfig(port=0, queue_size=2, max_delay_ms=1.0)
+            config = ServeConfig(port=0, queue_size=2)
             gateway, _service = self._gateway(client, config)
             # Writer not started: the queue fills and stays full.
             futures = [
@@ -454,7 +497,7 @@ class TestHttpSurface:
             semantics="DW",
             backend="array",
             shards=2,
-            serve=ServeConfig(port=0, fsync=False, max_delay_ms=1.0),
+            serve=ServeConfig(port=0, fsync=False),
         )
         app = ServeApp(config)
         (health, metrics) = drive(
@@ -473,7 +516,7 @@ class TestHttpSurface:
         assert line.endswith(" 1")
 
     def test_backpressure_answers_429_with_retry_after(self, tmp_path):
-        config = serve_config(tmp_path, queue_size=1, max_batch=1, max_delay_ms=0.0)
+        config = serve_config(tmp_path, queue_size=1, max_batch=1)
         app = ServeApp(config)
 
         async def scenario():
@@ -517,7 +560,7 @@ class TestHttpSurface:
 
         status, headers, first = asyncio.run(scenario())
         assert status == 429
-        assert "retry-after" in headers
+        assert headers["retry-after"] == "1"
 
 
 def _offline_prefix_report(ops, version):
@@ -668,7 +711,7 @@ class TestPublishOnCommit:
             semantics=semantics,
             backend="array",
             edge_grouping=grouping,
-            serve=ServeConfig(port=0, fsync=False, max_delay_ms=0.0),
+            serve=ServeConfig(port=0, fsync=False),
         )
         script = self._script(random.Random(seed), steps=10)
         offline = SpadeClient(config.replace(serve=None))
@@ -733,7 +776,7 @@ class TestPublishOnCommit:
         app = ServeApp(
             EngineConfig(
                 semantics="FD",
-                serve=ServeConfig(port=0, fsync=False, max_delay_ms=0.0),
+                serve=ServeConfig(port=0, fsync=False),
             )
         )
 
@@ -821,7 +864,7 @@ class TestPublishOnCommit:
             semantics="DW",
             backend="array",
             shards=2,
-            serve=ServeConfig(port=0, fsync=False, max_delay_ms=0.0),
+            serve=ServeConfig(port=0, fsync=False),
         )
         offline = SpadeClient(EngineConfig(semantics="DW", backend="array"))
         offline.load([])

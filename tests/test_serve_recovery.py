@@ -266,7 +266,7 @@ class TestRecoverInProcess:
             semantics="DW",
             backend="array",
             serve=ServeConfig(
-                port=0, wal_dir=str(tmp_path / "wal"), fsync=False, max_delay_ms=1.0
+                port=0, wal_dir=str(tmp_path / "wal"), fsync=False
             ),
         )
 
@@ -302,7 +302,7 @@ class TestTornTail:
             semantics="DW",
             backend="array",
             serve=ServeConfig(
-                port=0, wal_dir=str(tmp_path / "wal"), fsync=False, max_delay_ms=1.0
+                port=0, wal_dir=str(tmp_path / "wal"), fsync=False
             ),
         )
 
@@ -342,7 +342,7 @@ class TestPoisonedOperations:
             semantics="DW",
             backend="array",
             serve=ServeConfig(
-                port=0, wal_dir=str(tmp_path / "wal"), fsync=False, max_delay_ms=1.0
+                port=0, wal_dir=str(tmp_path / "wal"), fsync=False
             ),
         )
 
