@@ -154,9 +154,10 @@ def reorder_after_insertions(
     # --- native dispatch --------------------------------------------- #
     # The compiled kernel runs the identical scan (same cases, same float
     # association order, same heap pop order — see _kernels.c) over the
-    # graph's pool pointer tables.  It needs the array backend (pointer
-    # pools) and a reorder kernel that passed the pw_sum self-check; when
-    # either is missing the python loop below serves, even under
+    # graph's adjacency arenas, passed afresh on every call (any mutation
+    # may move them).  It needs the array backend (arenas) and a reorder
+    # kernel that passed the pw_sum self-check; when either is missing the
+    # python loop below serves, even under
     # kernel="native" — resolve_kernel already failed loud on the truly
     # unavailable cases (no compiler / failed build / failed self-check).
     if _native.resolve_kernel(getattr(state, "kernel", None)) == "native":

@@ -1,41 +1,57 @@
-"""Array-backed graph backend: interned ids + numpy adjacency pools.
+"""Array-backed graph backend: interned ids + one adjacency arena per direction.
 
 :class:`ArrayGraph` is a drop-in alternative to
 :class:`~repro.graph.graph.DynamicGraph` that stores the graph in flat
 numpy arrays indexed by the dense vertex ids of a
 :class:`~repro.graph.interning.VertexInterner`:
 
-* per-vertex **edge pools** — ``int32`` neighbour-id arrays paired with
-  ``float64`` weight arrays, one per direction, grown by capacity doubling
-  so that appending an edge is O(1) amortized;
+* one **arena** per direction — an ``int32`` neighbour-id array paired with
+  a ``float64`` weight array holding every vertex's edges, plus ``int64``
+  per-id ``start`` / ``length`` / ``cap`` arrays locating each vertex's
+  *run* inside it;
 * an **edge-slot index** ``(src_id, dst_id) -> (out_slot, in_slot)`` giving
   O(1) duplicate detection / accumulation and O(1) edge-weight lookup;
+  slots are relative to the run, so a run may move without touching it;
 * an **incident-weight accumulator** per vertex, maintained on every edge
   insertion/removal, so ``incident_weight`` — the dominant query of the
   benign/urgent classifier (Definition 4.1) — is O(1) instead of O(deg);
 * dense vertex-prior and degree arrays for O(1) scalar queries.
 
-The public, label-facing API matches ``DynamicGraph`` exactly (vertices are
-arbitrary hashables, translated at the boundary by the interner); the
-additional ``*_id`` methods expose the dense-id hot path consumed by
-:mod:`repro.core.reorder` and :mod:`repro.peeling.static`.
+Arena layout
+------------
+A run keeps insertion order.  Appending to a full run moves the whole run
+to the arena tail with doubled capacity (the old slots become dead), so an
+append is O(1) amortized.  When the tail reaches the end of the arena, the
+arena is compacted if at least half of its used slots are dead — hold no
+live edge — by one gather in dense-id order that keeps every run's
+capacity.  Unless at least half of it is then free, it is regrown to twice
+the slots in use (a doubling when nothing was compacted), so the next
+compaction or growth is at least half an arena of appends away.
+Because every run is a contiguous slice of two arrays,
+:meth:`ArrayGraph.freeze` is one ``np.repeat`` index plus one gather per
+array, and the native reorder kernel walks the arena through its two base
+pointers and the ``start`` / ``length`` arrays, fetched afresh on every
+call.
 
 Ordering contract
 -----------------
-Neighbour pools preserve insertion order, and edge removal shifts the pool
-instead of swap-removing, so ``incident_items`` / ``incident_arrays_id``
-enumerate edges in exactly the same order as the dict backend given the
-same operation sequence.  Because the incremental engine sums weights with
-numpy in enumeration order, the two backends produce *bit-identical*
-peeling sequences — the property the differential tests pin down.
+Edge removal shifts the run instead of swap-removing, so
+``incident_items`` / ``incident_arrays_id`` enumerate edges in exactly the
+same order as the dict backend given the same operation sequence.  Because
+the incremental engine sums weights with numpy in enumeration order, the
+two backends produce *bit-identical* peeling sequences — the property the
+differential tests pin down.
 
-``incident_arrays_id`` returns views into a per-graph scratch buffer that
-stay valid only until the next call on the same graph; callers that need
-to retain the arrays must copy them (fancy indexing already copies).
+Snapshots own their bytes: :meth:`ArrayGraph.freeze` gathers into fresh
+arrays, never slices of a live arena.  ``incident_arrays_id`` returns views
+into a per-graph scratch buffer that stay valid only until the next call on
+the same graph; callers that need to retain the arrays must copy them
+(fancy indexing already copies).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -50,22 +66,136 @@ _EMPTY_IDS = np.empty(0, dtype=np.int32)
 _EMPTY_WEIGHTS = np.empty(0, dtype=np.float64)
 
 
-def _csr_pools(offsets: np.ndarray, nbrs: np.ndarray, wgts: np.ndarray):
-    """Split one CSR direction into writable per-vertex pools.
+class _Arena:
+    """One direction's adjacency: every vertex's run in one pair of arrays.
 
-    Returns ``(owner, slot, neighbors, incident, pools)``: each entry's
-    owning id and slot within its run, its neighbour id (``int64``), the
-    per-id run weight sums, and the ``(nbr_pools, weight_pools, lengths)``
-    lists — slices of one writable copy of the run arrays.
+    Vertex ``vid``'s edges are ``nbr[start[vid] : start[vid] + length[vid]]``
+    (weights likewise in ``w``) inside a reservation of ``cap[vid]`` slots.
+    Slots ``[0, tail)`` are used; a used slot holding no live edge is dead
+    (left behind by a run that moved, or the unfilled end of a run).
     """
-    counts = np.diff(offsets)
+
+    __slots__ = ("nbr", "w", "start", "length", "cap", "tail")
+
+    def __init__(self, ids: int = 0) -> None:
+        self.nbr = _EMPTY_IDS.copy()
+        self.w = _EMPTY_WEIGHTS.copy()
+        self.start = np.zeros(ids, dtype=np.int64)
+        self.length = np.zeros(ids, dtype=np.int64)
+        self.cap = np.zeros(ids, dtype=np.int64)
+        self.tail = 0
+
+    def grow_ids(self, size: int) -> None:
+        """Extend the per-id arrays to ``size`` ids (new ids have no run)."""
+        for name in ("start", "length", "cap"):
+            old = getattr(self, name)
+            grown = np.zeros(size, dtype=np.int64)
+            grown[: len(old)] = old
+            setattr(self, name, grown)
+
+    def run(self, vid: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Views of ``vid``'s live neighbour ids and weights (not to retain)."""
+        lo = self.start.item(vid)
+        hi = lo + self.length.item(vid)
+        return self.nbr[lo:hi], self.w[lo:hi]
+
+    def append(self, vid: int, nbr_id: int, weight: float) -> int:
+        """Append one edge to ``vid``'s run; return its slot within the run."""
+        n = self.length.item(vid)
+        if n == self.cap.item(vid):
+            self._move_to_tail(vid, n)
+        at = self.start.item(vid) + n
+        self.nbr[at] = nbr_id
+        self.w[at] = weight
+        self.length[vid] = n + 1
+        return n
+
+    def _move_to_tail(self, vid: int, n: int) -> None:
+        """Move ``vid``'s full run to the arena tail with doubled capacity."""
+        new_cap = max(4, 2 * n)
+        if self.tail + new_cap > len(self.nbr):
+            self._make_room(new_cap)
+        lo = self.start.item(vid)
+        tail = self.tail
+        self.nbr[tail : tail + n] = self.nbr[lo : lo + n]
+        self.w[tail : tail + n] = self.w[lo : lo + n]
+        self.start[vid] = tail
+        self.cap[vid] = new_cap
+        self.tail = tail + new_cap
+
+    def _make_room(self, need: int) -> None:
+        """Compact if at least half the used slots are dead; then regrow to
+        twice the slots in use unless at least half the arena is free."""
+        if self.tail and 2 * int(self.length.sum()) <= self.tail:
+            caps = self.cap
+            start = np.cumsum(caps) - caps
+            self.tail = int(caps.sum())
+            index = np.repeat(self.start - start, caps) + np.arange(self.tail)
+            self.nbr[: self.tail] = self.nbr[index]
+            self.w[: self.tail] = self.w[index]
+            self.start = start
+        if 2 * (self.tail + need) > len(self.nbr):
+            size = 2 * (self.tail + need)
+            for name in ("nbr", "w"):
+                old = getattr(self, name)
+                grown = np.empty(size, dtype=old.dtype)
+                grown[: self.tail] = old[: self.tail]
+                setattr(self, name, grown)
+
+    def remove(self, vid: int, slot: int) -> List[int]:
+        """Shift-remove ``slot`` from ``vid``'s run; return the moved neighbours."""
+        start = self.start.item(vid)
+        lo, hi = start + slot, start + self.length.item(vid)
+        moved = self.nbr[lo + 1 : hi].tolist()
+        self.nbr[lo : hi - 1] = self.nbr[lo + 1 : hi].copy()
+        self.w[lo : hi - 1] = self.w[lo + 1 : hi].copy()
+        self.length[vid] -= 1
+        return moved
+
+    def gather(self, size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return fresh CSR ``(offsets, neighbors, weights)`` over ids ``< size``."""
+        m = min(size, len(self.length))
+        counts = np.zeros(size, dtype=np.int64)
+        counts[:m] = self.length[:m]
+        offsets = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        index = np.repeat(self.start[:m] - offsets[:m], counts[:m]) + np.arange(offsets[-1])
+        return offsets, self.nbr[index], self.w[index]
+
+    def copy(self) -> "_Arena":
+        """Return an independent copy, layout included."""
+        clone = _Arena()
+        for name in ("nbr", "w", "start", "length", "cap"):
+            setattr(clone, name, getattr(self, name).copy())
+        clone.tail = self.tail
+        return clone
+
+    @classmethod
+    def from_csr(cls, offsets: np.ndarray, nbrs: np.ndarray, wgts: np.ndarray) -> "_Arena":
+        """A writable arena holding one CSR direction, every run full to capacity."""
+        arena = cls()
+        arena.nbr = np.array(nbrs, dtype=np.int32)
+        arena.w = np.array(wgts, dtype=np.float64)
+        arena.start = np.array(offsets[:-1], dtype=np.int64)
+        arena.length = np.diff(offsets).astype(np.int64)
+        arena.cap = arena.length.copy()
+        arena.tail = len(arena.nbr)
+        return arena
+
+
+def _csr_runs(offsets: np.ndarray, nbrs: np.ndarray, wgts: np.ndarray):
+    """Describe one CSR direction entry by entry and load it into an arena.
+
+    Returns ``(owner, slot, neighbors, incident, arena)``: each entry's
+    owning id and slot within its run, its neighbour id (``int64``), the
+    per-id run weight sums, and the :class:`_Arena` holding a writable copy.
+    """
+    arena = _Arena.from_csr(offsets, nbrs, wgts)
+    counts = arena.length
     owner = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    slot = np.arange(len(nbrs), dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    nbrs = np.array(nbrs, dtype=np.int32)
-    wgts = np.array(wgts, dtype=np.float64)
-    bounds = list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
-    pools = ([nbrs[a:b] for a, b in bounds], [wgts[a:b] for a, b in bounds], counts.tolist())
-    return owner, slot, nbrs.astype(np.int64), np.bincount(owner, wgts, len(counts)), pools
+    slot = np.arange(len(arena.nbr), dtype=np.int64) - np.repeat(arena.start, counts)
+    incident = np.bincount(owner, arena.w, len(counts))
+    return owner, slot, arena.nbr.astype(np.int64), incident, arena
 
 
 class ArrayGraph:
@@ -84,12 +214,8 @@ class ArrayGraph:
         "_iw",
         "_member",
         "_vertex_order",
-        "_out_nbr",
-        "_out_w",
-        "_out_len",
-        "_in_nbr",
-        "_in_w",
-        "_in_len",
+        "_out",
+        "_in",
         "_edge_slots",
         "_num_edges",
         "_total_edge_weight",
@@ -97,12 +223,6 @@ class ArrayGraph:
         "_scratch_w",
         "_version",
         "_snapshot_cache",
-        "_nat_out_nbr_p",
-        "_nat_out_w_p",
-        "_nat_out_len",
-        "_nat_in_nbr_p",
-        "_nat_in_w_p",
-        "_nat_in_len",
     )
 
     def __init__(
@@ -115,12 +235,8 @@ class ArrayGraph:
         self._iw = np.zeros(8, dtype=np.float64)
         self._member = np.zeros(8, dtype=bool)
         self._vertex_order: List[int] = []
-        self._out_nbr: List[Optional[np.ndarray]] = []
-        self._out_w: List[Optional[np.ndarray]] = []
-        self._out_len: List[int] = []
-        self._in_nbr: List[Optional[np.ndarray]] = []
-        self._in_w: List[Optional[np.ndarray]] = []
-        self._in_len: List[int] = []
+        self._out = _Arena(8)
+        self._in = _Arena(8)
         self._edge_slots: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._num_edges = 0
         self._total_edge_weight = 0.0
@@ -128,22 +244,13 @@ class ArrayGraph:
         self._scratch_w = np.empty(16, dtype=np.float64)
         self._version = 0
         self._snapshot_cache = None
-        # Native pointer tables (repro.native): per-vertex pool addresses
-        # and live lengths, built lazily by native_adjacency() and then
-        # maintained incrementally.  ``_nat_out_len is None`` == disabled.
-        self._nat_out_nbr_p: Optional[np.ndarray] = None
-        self._nat_out_w_p: Optional[np.ndarray] = None
-        self._nat_out_len: Optional[np.ndarray] = None
-        self._nat_in_nbr_p: Optional[np.ndarray] = None
-        self._nat_in_w_p: Optional[np.ndarray] = None
-        self._nat_in_len: Optional[np.ndarray] = None
         populate_graph(self, vertices, edges)
 
     # ------------------------------------------------------------------ #
     # Storage growth
     # ------------------------------------------------------------------ #
     def _ensure_vid(self, vid: int) -> None:
-        """Grow the per-vertex arrays/pools to cover dense id ``vid``."""
+        """Grow the per-vertex arrays to cover dense id ``vid``."""
         cap = len(self._vw)
         if vid >= cap:
             new_cap = max(16, cap * 2, vid + 1)
@@ -155,55 +262,8 @@ class ArrayGraph:
             member = np.zeros(new_cap, dtype=bool)
             member[: len(self._member)] = self._member
             self._member = member
-        while len(self._out_len) <= vid:
-            self._out_nbr.append(None)
-            self._out_w.append(None)
-            self._out_len.append(0)
-            self._in_nbr.append(None)
-            self._in_w.append(None)
-            self._in_len.append(0)
-        if self._nat_out_len is not None and len(self._out_len) > len(self._nat_out_len):
-            self._nat_grow(len(self._out_len))
-
-    def _pool_append(self, out_dir: bool, vid: int, nbr_id: int, weight: float) -> int:
-        """Append one edge to a pool with capacity doubling; return its slot.
-
-        When the native pointer tables are live, a pool reallocation
-        refreshes the vertex's pool addresses and every append its live
-        length, so the tables always describe the current pools.
-        """
-        if out_dir:
-            nbrs, wgts, lens = self._out_nbr, self._out_w, self._out_len
-        else:
-            nbrs, wgts, lens = self._in_nbr, self._in_w, self._in_len
-        arr = nbrs[vid]
-        n = lens[vid]
-        realloc = arr is None or n == len(arr)
-        if realloc:
-            new_cap = max(4, 2 * n)
-            grown_n = np.empty(new_cap, dtype=np.int32)
-            grown_w = np.empty(new_cap, dtype=np.float64)
-            if arr is not None:
-                grown_n[:n] = arr[:n]
-                grown_w[:n] = wgts[vid][:n]
-            nbrs[vid] = grown_n
-            wgts[vid] = grown_w
-            arr = grown_n
-        arr[n] = nbr_id
-        wgts[vid][n] = weight
-        lens[vid] = n + 1
-        if self._nat_out_len is not None:
-            if out_dir:
-                if realloc:
-                    self._nat_out_nbr_p[vid] = arr.ctypes.data
-                    self._nat_out_w_p[vid] = wgts[vid].ctypes.data
-                self._nat_out_len[vid] = n + 1
-            else:
-                if realloc:
-                    self._nat_in_nbr_p[vid] = arr.ctypes.data
-                    self._nat_in_w_p[vid] = wgts[vid].ctypes.data
-                self._nat_in_len[vid] = n + 1
-        return n
+            self._out.grow_ids(new_cap)
+            self._in.grow_ids(new_cap)
 
     def _require_member(self, vertex: Vertex) -> int:
         """Translate a label to its id, raising if the vertex is unknown."""
@@ -221,8 +281,10 @@ class ArrayGraph:
         Mirrors ``DynamicGraph.add_vertex``: re-adding only ever raises the
         stored prior.
         """
-        if weight < 0:
-            raise InvalidWeightError(f"vertex weight must be >= 0, got {weight} for {vertex!r}")
+        if not 0.0 <= weight < math.inf:
+            raise InvalidWeightError(
+                f"vertex weight must be finite and >= 0, got {weight} for {vertex!r}"
+            )
         vid = self._interner.intern(vertex)
         self._ensure_vid(vid)
         if self._member[vid]:
@@ -240,8 +302,10 @@ class ArrayGraph:
     def set_vertex_weight(self, vertex: Vertex, weight: float) -> None:
         """Overwrite the suspiciousness prior of an existing vertex."""
         vid = self._require_member(vertex)
-        if weight < 0:
-            raise InvalidWeightError(f"vertex weight must be >= 0, got {weight} for {vertex!r}")
+        if not 0.0 <= weight < math.inf:
+            raise InvalidWeightError(
+                f"vertex weight must be finite and >= 0, got {weight} for {vertex!r}"
+            )
         self._vw[vid] = float(weight)
         self._version += 1
         self._snapshot_cache = None
@@ -279,8 +343,10 @@ class ArrayGraph:
         Missing endpoints are created with a zero prior; returns the new
         total weight of the edge — the same contract as the dict backend.
         """
-        if weight <= 0:
-            raise InvalidWeightError(f"edge weight must be > 0, got {weight} for ({src!r}, {dst!r})")
+        if not 0.0 < weight < math.inf:
+            raise InvalidWeightError(
+                f"edge weight must be finite and > 0, got {weight} for ({src!r}, {dst!r})"
+            )
         if src == dst:
             raise InvalidWeightError(f"self loops are not part of the transaction model: {src!r}")
         if not self.has_vertex(src):
@@ -294,12 +360,14 @@ class ArrayGraph:
         slots = self._edge_slots.get(key)
         if slots is not None:
             out_slot, in_slot = slots
-            self._out_w[sid][out_slot] += weight
-            self._in_w[did][in_slot] += weight
-            new_weight = float(self._out_w[sid][out_slot])
+            out, inc = self._out, self._in
+            at = out.start.item(sid) + out_slot
+            out.w[at] += weight
+            inc.w[inc.start.item(did) + in_slot] += weight
+            new_weight = out.w.item(at)
         else:
-            out_slot = self._pool_append(True, sid, did, weight)
-            in_slot = self._pool_append(False, did, sid, weight)
+            out_slot = self._out.append(sid, did, weight)
+            in_slot = self._in.append(did, sid, weight)
             self._edge_slots[key] = (out_slot, in_slot)
             self._num_edges += 1
             new_weight = weight
@@ -318,8 +386,8 @@ class ArrayGraph:
         if slots is None:
             raise UnknownEdgeError(src, dst)
         out_slot, in_slot = slots
-        weight = float(self._out_w[sid][out_slot])
-        self._pool_remove(sid, did, out_slot, in_slot)
+        weight = self._out.w.item(self._out.start.item(sid) + out_slot)
+        self._remove_slots(sid, did, out_slot, in_slot)
         del self._edge_slots[(sid, did)]
         self._num_edges -= 1
         self._total_edge_weight -= weight
@@ -329,34 +397,22 @@ class ArrayGraph:
         self._snapshot_cache = None
         return weight
 
-    def _pool_remove(self, sid: int, did: int, out_slot: int, in_slot: int) -> None:
-        """Shift-remove one edge from both pools, keeping enumeration order.
+    def _remove_slots(self, sid: int, did: int, out_slot: int, in_slot: int) -> None:
+        """Shift-remove one edge from both runs, keeping enumeration order.
 
-        Later edges in each pool move one slot down, so their entries in
+        Later edges in each run move one slot down, so their entries in
         the edge-slot index are rewritten; removal is O(deg), which keeps
         the (hot) insertion path free of indirection.
         """
         slots = self._edge_slots
-        out_nbr, out_w, n_out = self._out_nbr[sid], self._out_w[sid], self._out_len[sid]
-        out_nbr[out_slot : n_out - 1] = out_nbr[out_slot + 1 : n_out].copy()
-        out_w[out_slot : n_out - 1] = out_w[out_slot + 1 : n_out].copy()
-        self._out_len[sid] = n_out - 1
-        for moved in out_nbr[out_slot : n_out - 1].tolist():
+        for moved in self._out.remove(sid, out_slot):
             key = (sid, moved)
             o_slot, i_slot = slots[key]
             slots[key] = (o_slot - 1, i_slot)
-        in_nbr, in_w, n_in = self._in_nbr[did], self._in_w[did], self._in_len[did]
-        in_nbr[in_slot : n_in - 1] = in_nbr[in_slot + 1 : n_in].copy()
-        in_w[in_slot : n_in - 1] = in_w[in_slot + 1 : n_in].copy()
-        self._in_len[did] = n_in - 1
-        for moved in in_nbr[in_slot : n_in - 1].tolist():
+        for moved in self._in.remove(did, in_slot):
             key = (moved, did)
             o_slot, i_slot = slots[key]
             slots[key] = (o_slot, i_slot - 1)
-        if self._nat_out_len is not None:
-            # Shift-removal edits the pools in place: only the lengths move.
-            self._nat_out_len[sid] = self._out_len[sid]
-            self._nat_in_len[did] = self._in_len[did]
 
     def has_edge(self, src: Vertex, dst: Vertex) -> bool:
         """Return whether the directed edge ``(src, dst)`` exists."""
@@ -371,17 +427,16 @@ class ArrayGraph:
         slots = self._edge_slots.get((sid, did)) if sid >= 0 and did >= 0 else None
         if slots is None:
             raise UnknownEdgeError(src, dst)
-        return float(self._out_w[sid][slots[0]])
+        return self._out.w.item(self._out.start.item(sid) + slots[0])
 
     def edges(self) -> Iterator[Tuple[Vertex, Vertex, float]]:
         """Iterate over ``(src, dst, weight)`` triples in insertion order."""
         labels = self._interner._labels
         for sid in self._vertex_order:
-            nbrs = self._out_nbr[sid]
-            wgts = self._out_w[sid]
+            nbrs, wgts = self._out.run(sid)
             src = labels[sid]
-            for slot in range(self._out_len[sid]):
-                yield src, labels[nbrs[slot]], float(wgts[slot])
+            for nbr, weight in zip(nbrs.tolist(), wgts.tolist()):
+                yield src, labels[nbr], weight
 
     def num_edges(self) -> int:
         """Return ``|E|`` (unique directed edges)."""
@@ -394,19 +449,18 @@ class ArrayGraph:
     # ------------------------------------------------------------------ #
     # Neighbourhood accessors (label-facing)
     # ------------------------------------------------------------------ #
+    def _labelled_run(self, arena: _Arena, vid: int) -> Iterator[Tuple[Vertex, float]]:
+        labels = self._interner._labels
+        nbrs, wgts = arena.run(vid)
+        return ((labels[nbr], weight) for nbr, weight in zip(nbrs.tolist(), wgts.tolist()))
+
     def out_neighbors(self, vertex: Vertex) -> Mapping[Vertex, float]:
         """Return a mapping ``{dst: weight}`` of outgoing edges (built on demand)."""
-        vid = self._require_member(vertex)
-        labels = self._interner._labels
-        nbrs, wgts, n = self._out_nbr[vid], self._out_w[vid], self._out_len[vid]
-        return {labels[nbrs[i]]: float(wgts[i]) for i in range(n)}
+        return dict(self._labelled_run(self._out, self._require_member(vertex)))
 
     def in_neighbors(self, vertex: Vertex) -> Mapping[Vertex, float]:
         """Return a mapping ``{src: weight}`` of incoming edges (built on demand)."""
-        vid = self._require_member(vertex)
-        labels = self._interner._labels
-        nbrs, wgts, n = self._in_nbr[vid], self._in_w[vid], self._in_len[vid]
-        return {labels[nbrs[i]]: float(wgts[i]) for i in range(n)}
+        return dict(self._labelled_run(self._in, self._require_member(vertex)))
 
     def neighbors(self, vertex: Vertex) -> Iterator[Vertex]:
         """Iterate over the (undirected) neighbour set ``N(u)``.
@@ -418,14 +472,10 @@ class ArrayGraph:
             return
         labels = self._interner._labels
         seen = set()
-        nbrs, n = self._out_nbr[vid], self._out_len[vid]
-        for i in range(n):
-            nbr = int(nbrs[i])
+        for nbr in self._out.run(vid)[0].tolist():
             seen.add(nbr)
             yield labels[nbr]
-        nbrs, n = self._in_nbr[vid], self._in_len[vid]
-        for i in range(n):
-            nbr = int(nbrs[i])
+        for nbr in self._in.run(vid)[0].tolist():
             if nbr not in seen:
                 yield labels[nbr]
 
@@ -434,26 +484,20 @@ class ArrayGraph:
         vid = self._interner.get_id(vertex)
         if vid < 0 or not self._member[vid]:
             return
-        labels = self._interner._labels
-        nbrs, wgts, n = self._out_nbr[vid], self._out_w[vid], self._out_len[vid]
-        for i in range(n):
-            yield labels[nbrs[i]], float(wgts[i])
-        nbrs, wgts, n = self._in_nbr[vid], self._in_w[vid], self._in_len[vid]
-        for i in range(n):
-            yield labels[nbrs[i]], float(wgts[i])
+        yield from self._labelled_run(self._out, vid)
+        yield from self._labelled_run(self._in, vid)
 
     def out_degree(self, vertex: Vertex) -> int:
         """Return the number of outgoing edges of ``vertex``."""
-        return self._out_len[self._require_member(vertex)]
+        return self._out.length.item(self._require_member(vertex))
 
     def in_degree(self, vertex: Vertex) -> int:
         """Return the number of incoming edges of ``vertex``."""
-        return self._in_len[self._require_member(vertex)]
+        return self._in.length.item(self._require_member(vertex))
 
     def degree(self, vertex: Vertex) -> int:
         """Return the total degree (in + out) of ``vertex``."""
-        vid = self._require_member(vertex)
-        return self._out_len[vid] + self._in_len[vid]
+        return self.degree_id(self._require_member(vertex))
 
     def incident_weight(self, vertex: Vertex) -> float:
         """Return the summed incident weight of ``vertex`` — O(1).
@@ -490,9 +534,9 @@ class ArrayGraph:
 
     def degree_id(self, vid: int) -> int:
         """Return the total degree of the vertex with dense id ``vid``."""
-        if vid >= len(self._out_len):
+        if vid >= len(self._vw):
             return 0
-        return self._out_len[vid] + self._in_len[vid]
+        return self._out.length.item(vid) + self._in.length.item(vid)
 
     def incident_weight_id(self, vid: int) -> float:
         """Return the summed incident weight of the vertex with id ``vid``."""
@@ -509,26 +553,24 @@ class ArrayGraph:
     def member_degrees(self) -> np.ndarray:
         """Return the total degrees of all vertices, in insertion order.
 
-        One vectorised gather over the pool-length lists — O(|V|) with no
+        One vectorised gather over the run-length arrays — O(|V|) with no
         edge traffic, used by :mod:`repro.graph.stats`.
         """
         order = np.asarray(self._vertex_order, dtype=np.int64)
-        out_lens = np.asarray(self._out_len, dtype=np.int64)
-        in_lens = np.asarray(self._in_len, dtype=np.int64)
-        return out_lens[order] + in_lens[order]
+        return self._out.length[order] + self._in.length[order]
 
     def incident_arrays_id(self, vid: int) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(neighbor_ids, weights)`` views over all incident edges.
 
-        Out-edges first, then in-edges, in pool order.  The views alias a
+        Out-edges first, then in-edges, in run order.  The views alias a
         per-graph scratch buffer and are only valid until the next call on
         this graph; copy (or fancy-index) to retain.
         """
-        if vid >= len(self._out_len):
+        if vid >= len(self._vw):
             return _EMPTY_IDS, _EMPTY_WEIGHTS
-        n_out = self._out_len[vid]
-        n_in = self._in_len[vid]
-        n = n_out + n_in
+        out, inc = self._out, self._in
+        n_out = out.length.item(vid)
+        n = n_out + inc.length.item(vid)
         if n == 0:
             return _EMPTY_IDS, _EMPTY_WEIGHTS
         if n > len(self._scratch_ids):
@@ -537,79 +579,21 @@ class ArrayGraph:
             self._scratch_w = np.empty(cap, dtype=np.float64)
         ids = self._scratch_ids
         weights = self._scratch_w
-        if n_out:
-            ids[:n_out] = self._out_nbr[vid][:n_out]
-            weights[:n_out] = self._out_w[vid][:n_out]
-        if n_in:
-            ids[n_out:n] = self._in_nbr[vid][:n_in]
-            weights[n_out:n] = self._in_w[vid][:n_in]
+        ids[:n_out], weights[:n_out] = out.run(vid)
+        ids[n_out:n], weights[n_out:n] = inc.run(vid)
         return ids[:n], weights[:n]
 
-    # ------------------------------------------------------------------ #
-    # Native pointer tables (repro.native reorder kernel)
-    # ------------------------------------------------------------------ #
-    def native_adjacency(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """Return the pool address/length tables the C reorder kernel walks.
+    def native_adjacency(self) -> Tuple[np.ndarray, ...]:
+        """Return the arrays the C reorder kernel walks, as they are now.
 
-        ``(out_nbr_ptrs, out_w_ptrs, out_lens, in_nbr_ptrs, in_w_ptrs,
-        in_lens, pooled)`` — ``uint64`` pool base addresses and ``int64``
-        live lengths per dense id, valid for ids ``< pooled``.  Built once
-        (O(pooled)) on first use, then maintained incrementally by the
-        edge mutation paths, so per-update reorders pay O(1) here.  A
-        vertex without an allocated pool has address 0 and length 0; the
-        kernel never dereferences a zero-length pool.
+        ``(out_nbr, out_w, out_start, out_len, in_nbr, in_w, in_start,
+        in_len)``: each direction's arena and its per-id run starts and
+        lengths.  Any mutation may replace these arrays (arena growth,
+        compaction, new ids), so callers fetch them afresh for every
+        kernel call and never keep a base pointer.
         """
-        pooled = len(self._out_len)
-        if self._nat_out_len is None or len(self._nat_out_len) < pooled:
-            self._nat_build(pooled)
-        return (
-            self._nat_out_nbr_p,
-            self._nat_out_w_p,
-            self._nat_out_len,
-            self._nat_in_nbr_p,
-            self._nat_in_w_p,
-            self._nat_in_len,
-            pooled,
-        )
-
-    def _nat_grow(self, pooled: int) -> None:
-        """Grow the live pointer tables to cover ``pooled`` ids (zero-filled)."""
-        cap = max(2 * len(self._nat_out_len), pooled)
-        for name in (
-            "_nat_out_nbr_p",
-            "_nat_out_w_p",
-            "_nat_out_len",
-            "_nat_in_nbr_p",
-            "_nat_in_w_p",
-            "_nat_in_len",
-        ):
-            old = getattr(self, name)
-            grown = np.zeros(cap, dtype=old.dtype)
-            grown[: len(old)] = old
-            setattr(self, name, grown)
-
-    def _nat_build(self, pooled: int) -> None:
-        """(Re)build the pointer tables from scratch over all pools."""
-        cap = max(16, 2 * pooled)
-        self._nat_out_nbr_p = np.zeros(cap, dtype=np.uint64)
-        self._nat_out_w_p = np.zeros(cap, dtype=np.uint64)
-        self._nat_out_len = np.zeros(cap, dtype=np.int64)
-        self._nat_in_nbr_p = np.zeros(cap, dtype=np.uint64)
-        self._nat_in_w_p = np.zeros(cap, dtype=np.uint64)
-        self._nat_in_len = np.zeros(cap, dtype=np.int64)
-        for vid in range(pooled):
-            arr = self._out_nbr[vid]
-            if arr is not None:
-                self._nat_out_nbr_p[vid] = arr.ctypes.data
-                self._nat_out_w_p[vid] = self._out_w[vid].ctypes.data
-                self._nat_out_len[vid] = self._out_len[vid]
-            arr = self._in_nbr[vid]
-            if arr is not None:
-                self._nat_in_nbr_p[vid] = arr.ctypes.data
-                self._nat_in_w_p[vid] = self._in_w[vid].ctypes.data
-                self._nat_in_len[vid] = self._in_len[vid]
+        out, inc = self._out, self._in
+        return (out.nbr, out.w, out.start, out.length, inc.nbr, inc.w, inc.start, inc.length)
 
     # ------------------------------------------------------------------ #
     # Snapshot export
@@ -620,15 +604,16 @@ class ArrayGraph:
         return self._version
 
     def freeze(self) -> "CsrSnapshot":
-        """Freeze the mutable pools into an immutable CSR snapshot.
+        """Freeze the arenas into an immutable CSR snapshot.
 
-        O(|V| + |E|): the offset arrays are a cumsum over the pool lengths
-        and the neighbor/weight arrays one concatenation plus a vectorised
-        tail mask, preserving pool (= enumeration) order exactly — which
-        is what makes the CSR static peel bit-identical to the heap peel.
-        The returned :class:`~repro.graph.csr.CsrSnapshot` is decoupled
-        from this graph; use :meth:`CsrSnapshot.is_stale` to detect later
-        mutations (every mutation bumps :attr:`version`).
+        O(|V| + |E|): the offsets are a cumsum over the run lengths and
+        each neighbor/weight array one gather through a single
+        ``np.repeat`` index, preserving run (= enumeration) order exactly
+        — which is what makes the CSR static peel bit-identical to the
+        heap peel.  The gathered arrays are fresh copies, so the returned
+        :class:`~repro.graph.csr.CsrSnapshot` is decoupled from this
+        graph; use :meth:`CsrSnapshot.is_stale` to detect later mutations
+        (every mutation bumps :attr:`version`).
 
         Because snapshots are immutable, the last one is cached and
         returned for free until the next mutation — consecutive read-path
@@ -642,42 +627,8 @@ class ArrayGraph:
         from repro.graph.csr import CsrSnapshot, _frozen
 
         size = len(self._interner)
-        pooled = len(self._out_len)  # ids with allocated pools (<= size)
-
-        def direction(nbr_pools, w_pools, lens):
-            counts = np.zeros(size, dtype=np.int64)
-            if pooled:
-                counts[:pooled] = lens
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            # Concatenate the raw pools (capacity included) and drop the
-            # unused tails with one vectorised mask — cheaper than
-            # materialising a trimmed view per vertex.
-            live = [a for a in nbr_pools if a is not None]
-            if not live:
-                return (
-                    _frozen(offsets),
-                    _frozen(np.empty(0, np.int32)),
-                    _frozen(np.empty(0, np.float64)),
-                )
-            caps = np.fromiter(
-                (0 if a is None else len(a) for a in nbr_pools),
-                dtype=np.int64,
-                count=len(nbr_pools),
-            )
-            full_nbr = np.concatenate(live)
-            full_w = np.concatenate([a for a in w_pools if a is not None])
-            prefix = np.concatenate(([0], np.cumsum(caps)[:-1]))
-            keep = (
-                np.arange(int(caps.sum()), dtype=np.int64) - np.repeat(prefix, caps)
-            ) < np.repeat(counts[:pooled], caps)
-            return _frozen(offsets), _frozen(full_nbr[keep]), _frozen(full_w[keep])
-
-        out_offsets, out_neighbors, out_weights = direction(
-            self._out_nbr, self._out_w, self._out_len
-        )
-        in_offsets, in_neighbors, in_weights = direction(
-            self._in_nbr, self._in_w, self._in_len
-        )
+        out_offsets, out_neighbors, out_weights = self._out.gather(size)
+        in_offsets, in_neighbors, in_weights = self._in.gather(size)
         vertex_weights = np.zeros(size, dtype=np.float64)
         member = np.zeros(size, dtype=bool)
         covered = min(size, len(self._vw))
@@ -687,12 +638,12 @@ class ArrayGraph:
             order=_frozen(np.asarray(self._vertex_order, dtype=np.int32)),
             member=_frozen(member),
             vertex_weights=_frozen(vertex_weights),
-            out_offsets=out_offsets,
-            out_neighbors=out_neighbors,
-            out_weights=out_weights,
-            in_offsets=in_offsets,
-            in_neighbors=in_neighbors,
-            in_weights=in_weights,
+            out_offsets=_frozen(out_offsets),
+            out_neighbors=_frozen(out_neighbors),
+            out_weights=_frozen(out_weights),
+            in_offsets=_frozen(in_offsets),
+            in_neighbors=_frozen(in_neighbors),
+            in_weights=_frozen(in_weights),
             total_edge_weight=self._total_edge_weight,
             source_version=self._version,
             labels=list(self._interner._labels),
@@ -708,19 +659,15 @@ class ArrayGraph:
         return self.total_vertex_weight() + self._total_edge_weight
 
     def copy(self) -> "ArrayGraph":
-        """Return a deep copy of the graph (weights, pools and ids included)."""
+        """Return a deep copy of the graph (weights, arenas and ids included)."""
         clone = ArrayGraph()
         clone._interner = self._interner.copy()
         clone._vw = self._vw.copy()
         clone._iw = self._iw.copy()
         clone._member = self._member.copy()
         clone._vertex_order = list(self._vertex_order)
-        clone._out_nbr = [a.copy() if a is not None else None for a in self._out_nbr]
-        clone._out_w = [a.copy() if a is not None else None for a in self._out_w]
-        clone._out_len = list(self._out_len)
-        clone._in_nbr = [a.copy() if a is not None else None for a in self._in_nbr]
-        clone._in_w = [a.copy() if a is not None else None for a in self._in_w]
-        clone._in_len = list(self._in_len)
+        clone._out = self._out.copy()
+        clone._in = self._in.copy()
         clone._edge_slots = dict(self._edge_slots)
         clone._num_edges = self._num_edges
         clone._total_edge_weight = self._total_edge_weight
@@ -775,14 +722,14 @@ class ArrayGraph:
 
     @classmethod
     def from_csr(cls, snapshot) -> "ArrayGraph":
-        """Rebuild the graph a labelled snapshot was frozen from, pool for pool.
+        """Rebuild the graph a labelled snapshot was frozen from, run for run.
 
-        A CSR neighbour run *is* that vertex's pool, so the pools are
-        slices of one writable copy of the snapshot's arrays (full to
-        capacity: the first append reallocates) and the edge-slot index
-        pairs each out-slot with its in-slot by sorting both sides on
-        ``(src, dst)``.  Ids, priors, membership, edge count and total
-        weight are the snapshot's own; no edge is re-inserted.
+        Each direction's arena is one writable copy of the snapshot's
+        arrays, every run full to capacity (its first append moves it),
+        and the edge-slot index pairs each out-slot with its in-slot by
+        sorting both sides on ``(src, dst)``.  Ids, priors, membership,
+        edge count and total weight are the snapshot's own; no edge is
+        re-inserted.
         """
         graph = cls()
         num = snapshot.num_ids
@@ -790,11 +737,11 @@ class ArrayGraph:
         graph._vw = np.array(snapshot.vertex_weights, dtype=np.float64)
         graph._member = np.array(snapshot.member, dtype=bool)
         graph._vertex_order = snapshot.order.tolist()
-        src, out_slot, dst, out_iw, (graph._out_nbr, graph._out_w, graph._out_len) = (
-            _csr_pools(snapshot.out_offsets, snapshot.out_neighbors, snapshot.out_weights)
+        src, out_slot, dst, out_iw, graph._out = _csr_runs(
+            snapshot.out_offsets, snapshot.out_neighbors, snapshot.out_weights
         )
-        in_dst, in_slot, in_src, in_iw, (graph._in_nbr, graph._in_w, graph._in_len) = (
-            _csr_pools(snapshot.in_offsets, snapshot.in_neighbors, snapshot.in_weights)
+        in_dst, in_slot, in_src, in_iw, graph._in = _csr_runs(
+            snapshot.in_offsets, snapshot.in_neighbors, snapshot.in_weights
         )
         by_out = np.argsort(src * num + dst)
         by_in = np.argsort(in_src * num + in_dst)

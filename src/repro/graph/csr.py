@@ -1,7 +1,7 @@
 """Immutable CSR snapshots of a graph for the read-mostly analytics paths.
 
-The mutable backends (:class:`~repro.graph.array_graph.ArrayGraph` edge
-pools, :class:`~repro.graph.graph.DynamicGraph` adjacency dicts) are
+The mutable backends (:class:`~repro.graph.array_graph.ArrayGraph` adjacency
+arenas, :class:`~repro.graph.graph.DynamicGraph` adjacency dicts) are
 optimised for the *write* path — O(1) amortized edge insertion with O(1)
 incident-weight maintenance.  The read-mostly paths of the evaluation
 (static peeling, dense-subgraph enumeration, the exact solver, dataset
@@ -16,8 +16,9 @@ Design points
   snapshot taken at version ``k`` of an :class:`ArrayGraph` never changes,
   and :meth:`is_stale` tells callers when the source graph has moved on.
 * **O(|V| + |E|) construction.**  ``ArrayGraph.freeze`` derives the offset
-  arrays from the pool lengths with ``cumsum`` and concatenates the pool
-  views — no per-vertex numpy dispatches; :meth:`CsrSnapshot.from_edges`
+  arrays from the run lengths with ``cumsum`` and gathers each array out
+  of its arena through one ``np.repeat`` index — no per-vertex numpy
+  dispatches; :meth:`CsrSnapshot.from_edges`
   builds a snapshot from flat edge arrays with ``np.bincount`` + stable
   ``argsort`` for callers that never materialise a mutable graph at all.
 * **Zero-copy sharing.**  :meth:`save` writes an *uncompressed* ``.npz``;
@@ -27,7 +28,7 @@ Design points
   shareable across processes without copying a single edge array — the
   natural surface for sharded engines and for a future native extension.
 * **Enumeration-order fidelity.**  Neighbor runs preserve the source
-  graph's pool order (out-edges first, then in-edges, each in insertion
+  graph's run order (out-edges first, then in-edges, each in insertion
   order), so the CSR static peel sums weights in exactly the same order as
   the heap-based peel and the two produce bit-identical sequences — the
   property pinned by ``tests/test_csr.py``.
@@ -169,7 +170,7 @@ class CsrSnapshot:
 
         Pure ``np.bincount`` / cumsum / stable-``argsort`` construction —
         O(|E|) with no per-vertex Python loop.  Neighbor runs come out in
-        edge-array order per vertex, matching pool insertion order when the
+        edge-array order per vertex, matching run insertion order when the
         edge arrays are in insertion order.
         """
         src = np.asarray(src, dtype=np.int32)
@@ -502,8 +503,8 @@ def _mmap_npy_member(path: str, offset: int, mmap_mode: str) -> Optional[np.ndar
 def freeze_graph(graph) -> CsrSnapshot:
     """Freeze any :class:`~repro.graph.backend.GraphBackend` into a snapshot.
 
-    Array graphs freeze natively (O(|V| + |E|), pools concatenated in
-    place); other backends are replayed into an
+    Array graphs freeze natively (O(|V| + |E|), one gather out of each
+    arena); other backends are replayed into an
     :class:`~repro.graph.array_graph.ArrayGraph` first, which preserves
     dense ids and with them the peeling tie-break order.
     """

@@ -26,6 +26,7 @@ Design notes
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
@@ -126,8 +127,10 @@ class DynamicGraph:
         larger weight is supplied; this mirrors the "side information sets a
         prior" behaviour of Fraudar where priors only ever accumulate.
         """
-        if weight < 0:
-            raise InvalidWeightError(f"vertex weight must be >= 0, got {weight} for {vertex!r}")
+        if not 0.0 <= weight < math.inf:
+            raise InvalidWeightError(
+                f"vertex weight must be finite and >= 0, got {weight} for {vertex!r}"
+            )
         if vertex in self._vertex_weight:
             if weight > self._vertex_weight[vertex]:
                 self._vertex_weight[vertex] = float(weight)
@@ -141,8 +144,10 @@ class DynamicGraph:
         """Overwrite the suspiciousness prior of an existing vertex."""
         if vertex not in self._vertex_weight:
             raise UnknownVertexError(vertex)
-        if weight < 0:
-            raise InvalidWeightError(f"vertex weight must be >= 0, got {weight} for {vertex!r}")
+        if not 0.0 <= weight < math.inf:
+            raise InvalidWeightError(
+                f"vertex weight must be finite and >= 0, got {weight} for {vertex!r}"
+            )
         self._vertex_weight[vertex] = float(weight)
 
     def has_vertex(self, vertex: Vertex) -> bool:
@@ -180,8 +185,10 @@ class DynamicGraph:
 
         Returns the *new* total weight of the edge.
         """
-        if weight <= 0:
-            raise InvalidWeightError(f"edge weight must be > 0, got {weight} for ({src!r}, {dst!r})")
+        if not 0.0 < weight < math.inf:
+            raise InvalidWeightError(
+                f"edge weight must be finite and > 0, got {weight} for ({src!r}, {dst!r})"
+            )
         if src == dst:
             raise InvalidWeightError(f"self loops are not part of the transaction model: {src!r}")
         if src not in self._vertex_weight:

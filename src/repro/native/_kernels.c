@@ -286,14 +286,17 @@ static int island_reserve(IslandBuf *b, int64_t need)
 }
 
 typedef struct {
-    /* adjacency pointer tables (ArrayGraph edge pools), indexed by vid */
-    const int32_t *const *out_nbr;
-    const double *const *out_w;
+    /* adjacency arenas (ArrayGraph): vid's run is base[start[vid] ..
+     * start[vid] + len[vid]) in each direction, for vid < num_ids */
+    const int32_t *out_nbr;
+    const double *out_w;
+    const int64_t *out_start;
     const int64_t *out_len;
-    const int32_t *const *in_nbr;
-    const double *const *in_w;
+    const int32_t *in_nbr;
+    const double *in_w;
+    const int64_t *in_start;
     const int64_t *in_len;
-    int64_t pooled;
+    int64_t num_ids;
     const double *vw;       /* vertex priors */
     /* sequence state */
     int32_t *order_buf;
@@ -326,7 +329,7 @@ typedef struct {
 
 static inline int64_t degree_of(const Reorder *r, int32_t vid)
 {
-    if (vid >= r->pooled)
+    if (vid >= r->num_ids)
         return 0;
     return r->out_len[vid] + r->in_len[vid];
 }
@@ -367,15 +370,15 @@ static int wscratch_reserve(Reorder *r, int64_t need)
 static int recover_weight(Reorder *r, int32_t vid, double *out)
 {
     double total = r->vw[vid];
-    int64_t n_out = vid < r->pooled ? r->out_len[vid] : 0;
-    int64_t n_in = vid < r->pooled ? r->in_len[vid] : 0;
+    int64_t n_out = vid < r->num_ids ? r->out_len[vid] : 0;
+    int64_t n_in = vid < r->num_ids ? r->in_len[vid] : 0;
     int64_t degree = n_out + n_in;
     if (degree) {
         int64_t threshold = r->head + r->island_start;
-        const int32_t *onbr = r->out_nbr[vid];
-        const double *ow = r->out_w[vid];
-        const int32_t *inbr = r->in_nbr[vid];
-        const double *iw = r->in_w[vid];
+        const int32_t *onbr = r->out_nbr + r->out_start[vid];
+        const double *ow = r->out_w + r->out_start[vid];
+        const int32_t *inbr = r->in_nbr + r->in_start[vid];
+        const double *iw = r->in_w + r->in_start[vid];
         if (degree <= r->small_degree) {
             double incident = 0.0;
             for (int64_t i = 0; i < n_out; i++)
@@ -470,24 +473,30 @@ static int place_from_queue(Reorder *r, double weight, int32_t vid)
     r->pos_buf[vid] = r->head - 1; /* emitted sentinel */
     if (r->queue_count == 0)
         return 0; /* nothing pending: skip the traversal */
-    int64_t n_out = vid < r->pooled ? r->out_len[vid] : 0;
-    int64_t n_in = vid < r->pooled ? r->in_len[vid] : 0;
+    int64_t n_out = vid < r->num_ids ? r->out_len[vid] : 0;
+    int64_t n_in = vid < r->num_ids ? r->in_len[vid] : 0;
     r->edge_traversals += n_out + n_in;
+    if (n_out + n_in == 0)
+        return 0;
     /* Both python branches (scalar and masked-vector) reduce to one
-     * scalar subtract + push per pending neighbour, in pool order. */
+     * scalar subtract + push per pending neighbour, in run order. */
+    const int32_t *onbr = r->out_nbr + r->out_start[vid];
+    const double *ow = r->out_w + r->out_start[vid];
+    const int32_t *inbr = r->in_nbr + r->in_start[vid];
+    const double *iw = r->in_w + r->in_start[vid];
     for (int64_t i = 0; i < n_out; i++) {
-        int32_t nbr = r->out_nbr[vid][i];
+        int32_t nbr = onbr[i];
         if (r->in_queue_mask[nbr]) {
-            double lowered = r->inq_val[nbr] - r->out_w[vid][i];
+            double lowered = r->inq_val[nbr] - ow[i];
             r->inq_val[nbr] = lowered;
             if (heap_push(&r->heap, lowered, nbr))
                 return -1;
         }
     }
     for (int64_t i = 0; i < n_in; i++) {
-        int32_t nbr = r->in_nbr[vid][i];
+        int32_t nbr = inbr[i];
         if (r->in_queue_mask[nbr]) {
-            double lowered = r->inq_val[nbr] - r->in_w[vid][i];
+            double lowered = r->inq_val[nbr] - iw[i];
             r->inq_val[nbr] = lowered;
             if (heap_push(&r->heap, lowered, nbr))
                 return -1;
@@ -551,13 +560,15 @@ static int flush_island(Reorder *r, int64_t end)
  * The touched / in_queue masks are reset (exactly the entries this pass
  * set) on every exit path, mirroring the python finally block. */
 EXPORT int64_t repro_reorder(
-    const int32_t *const *out_nbr_ptrs,
-    const double *const *out_w_ptrs,
-    const int64_t *out_lens,
-    const int32_t *const *in_nbr_ptrs,
-    const double *const *in_w_ptrs,
-    const int64_t *in_lens,
-    int64_t pooled,
+    const int32_t *out_nbr,
+    const double *out_w,
+    const int64_t *out_start,
+    const int64_t *out_len,
+    const int32_t *in_nbr,
+    const double *in_w,
+    const int64_t *in_start,
+    const int64_t *in_len,
+    int64_t num_ids,
     const double *vw,
     int32_t *order_buf,
     double *weights_buf,
@@ -576,13 +587,15 @@ EXPORT int64_t repro_reorder(
 {
     Reorder r;
     memset(&r, 0, sizeof(r));
-    r.out_nbr = out_nbr_ptrs;
-    r.out_w = out_w_ptrs;
-    r.out_len = out_lens;
-    r.in_nbr = in_nbr_ptrs;
-    r.in_w = in_w_ptrs;
-    r.in_len = in_lens;
-    r.pooled = pooled;
+    r.out_nbr = out_nbr;
+    r.out_w = out_w;
+    r.out_start = out_start;
+    r.out_len = out_len;
+    r.in_nbr = in_nbr;
+    r.in_w = in_w;
+    r.in_start = in_start;
+    r.in_len = in_len;
+    r.num_ids = num_ids;
     r.vw = vw;
     r.order_buf = order_buf;
     r.weights_buf = weights_buf;
@@ -654,13 +667,11 @@ EXPORT int64_t repro_reorder(
         int32_t vid = r.queued_log[i];
         touched[vid] = 0;
         in_queue_mask[vid] = 0;
-        if (vid < pooled) {
-            int64_t n_out = r.out_len[vid];
-            for (int64_t j = 0; j < n_out; j++)
-                touched[r.out_nbr[vid][j]] = 0;
-            int64_t n_in = r.in_len[vid];
-            for (int64_t j = 0; j < n_in; j++)
-                touched[r.in_nbr[vid][j]] = 0;
+        if (vid < num_ids) {
+            for (int64_t j = 0; j < out_len[vid]; j++)
+                touched[out_nbr[out_start[vid] + j]] = 0;
+            for (int64_t j = 0; j < in_len[vid]; j++)
+                touched[in_nbr[in_start[vid] + j]] = 0;
         }
     }
 

@@ -60,7 +60,7 @@ class NativeKernels:
         ] * 2 + [ctypes.c_longlong] + [ctypes.c_void_p] * 2
         lib.repro_peel.restype = ctypes.c_longlong
         lib.repro_reorder.argtypes = (
-            [ctypes.c_void_p] * 6
+            [ctypes.c_void_p] * 8
             + [ctypes.c_longlong, ctypes.c_void_p]
             + [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong]
             + [ctypes.c_void_p] * 4
@@ -115,7 +115,7 @@ class NativeKernels:
 
     def reorder(
         self,
-        tables: Tuple[np.ndarray, ...],
+        adjacency: Tuple[np.ndarray, ...],
         vw: np.ndarray,
         order_buf: np.ndarray,
         weights_buf: np.ndarray,
@@ -131,21 +131,17 @@ class NativeKernels:
     ) -> np.ndarray:
         """Run the reorder pass in place; returns the raw stats array.
 
-        ``tables`` is the 7-tuple from ``ArrayGraph.native_adjacency()``.
-        Raises ``MemoryError`` on allocation failure and
-        ``AssertionError`` on an island-accounting violation — the same
-        invariant the python loop asserts.
+        ``adjacency`` is the 8-tuple of arena arrays from
+        ``ArrayGraph.native_adjacency()``, fetched for this call; its
+        ``out_start`` length is the id count the kernel may index.  Raises
+        ``MemoryError`` on allocation failure and ``AssertionError`` on an
+        island-accounting violation — the same invariant the python loop
+        asserts.
         """
-        onp, owp, olen, inp, iwp, ilen, pooled = tables
         stats = np.zeros(_STATS_LEN, dtype=np.int64)
         rc = self.lib.repro_reorder(
-            _ptr(onp),
-            _ptr(owp),
-            _ptr(olen),
-            _ptr(inp),
-            _ptr(iwp),
-            _ptr(ilen),
-            pooled,
+            *map(_ptr, adjacency),
+            len(adjacency[2]),
             _ptr(vw),
             _ptr(order_buf),
             _ptr(weights_buf),

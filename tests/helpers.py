@@ -27,6 +27,7 @@ __all__ = [
     "build_state",
     "assert_matches_static",
     "assert_valid_state",
+    "add_until_compaction",
 ]
 
 
@@ -102,3 +103,25 @@ def assert_matches_static(state: PeelingState, exact: bool = True) -> None:
         assert abs(static.best_density - incremental.best_density) <= 1e-6 * max(
             1.0, abs(static.best_density)
         )
+
+
+def _dead_slots(graph) -> List[int]:
+    """Used arena slots no run reserves, per direction, of an ``ArrayGraph``.
+
+    Only a compaction lowers this count: appends and removals keep it or
+    (moving a full run to the tail) raise it.
+    """
+    return [arena.tail - int(arena.cap.sum()) for arena in (graph._out, graph._in)]
+
+
+def add_until_compaction(graph, edges: Sequence[Tuple]) -> List[Tuple]:
+    """Add ``edges`` to an ``ArrayGraph`` until an append compacts an arena.
+
+    Returns the edges not yet added; fails if none of them compacted.
+    """
+    for i, (src, dst, weight) in enumerate(edges):
+        before = _dead_slots(graph)
+        graph.add_edge(src, dst, weight)
+        if any(after < prior for after, prior in zip(_dead_slots(graph), before)):
+            return list(edges[i + 1 :])
+    raise AssertionError("no append compacted an arena")

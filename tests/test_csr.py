@@ -28,6 +28,7 @@ from repro.core.deletion import delete_edges, repeel_suffix, safe_prefix_bound
 from repro.core.enumeration import enumerate_communities
 from repro.core.state import PeelingState
 from repro.graph.array_graph import ArrayGraph
+from repro.graph.csr import _ARRAY_FIELDS as CSR_ARRAY_FIELDS
 from repro.graph.csr import CsrSnapshot, freeze_graph
 from repro.graph.graph import DynamicGraph
 from repro.graph.stats import compute_stats, degree_distribution
@@ -47,7 +48,7 @@ from repro.peeling.static import (
     peeling_weights,
 )
 
-from tests.helpers import random_weighted_edges
+from tests.helpers import add_until_compaction, random_weighted_edges
 
 SETTINGS = settings(
     max_examples=30,
@@ -179,6 +180,55 @@ class TestSnapshotSemantics:
         # Deletions and weight changes also invalidate.
         graph.remove_edge("a", "b")
         assert second.is_stale(graph)
+
+    def test_snapshot_never_aliases_the_arena(self):
+        """Every arena layout change leaves earlier snapshots' bytes alone."""
+        edges = random_weighted_edges(30, 300, random.Random(1))
+        # from_csr starts from a compact arena: every run full, no slack.
+        graph = ArrayGraph.from_csr(ArrayGraph(edges=edges[:100]).freeze())
+        out = graph._out
+        kept = []
+
+        def freeze_and_keep():
+            snapshot = graph.freeze()
+            kept.append((snapshot, {n: getattr(snapshot, n).copy() for n in CSR_ARRAY_FIELDS}))
+
+        def assert_snapshots_intact():
+            for snapshot, arrays in kept:
+                for name, array in arrays.items():
+                    assert np.array_equal(getattr(snapshot, name), array), name
+
+        src, dst, weight = edges[0]
+        freeze_and_keep()
+        assert graph.add_edge(src, dst, 0.5) == weight + 0.5  # accumulate in place
+        assert_snapshots_intact()
+
+        freeze_and_keep()
+        hub = max(graph.vertices(), key=graph.out_degree)
+        first = next(iter(graph.out_neighbors(hub)))
+        assert graph.out_degree(hub) >= 2
+        graph.remove_edge(hub, first)  # shift-remove inside the run
+        assert_snapshots_intact()
+
+        freeze_and_keep()
+        src, dst, weight = edges[100]
+        vid = graph.interner.id_of(src)
+        start = int(out.start[vid])
+        graph.add_edge(src, dst, weight)  # the full run moves to the tail
+        assert int(out.start[vid]) != start
+        assert_snapshots_intact()
+
+        freeze_and_keep()
+        size = len(out.nbr)
+        rest = edges[101:]
+        while len(out.nbr) == size:  # grow the arena
+            graph.add_edge(*rest.pop(0))
+        assert_snapshots_intact()
+
+        freeze_and_keep()
+        add_until_compaction(graph, rest)
+        assert_snapshots_intact()
+        assert not graph.freeze().is_stale(graph)
 
     def test_snapshot_arrays_are_immutable(self):
         graph = ArrayGraph(edges=[("a", "b", 1.0)])

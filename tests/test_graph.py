@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import InvalidWeightError, UnknownEdgeError, UnknownVertexError
+from repro.graph.array_graph import ArrayGraph
 from repro.graph.graph import DynamicGraph
 
 
@@ -28,10 +31,17 @@ class TestVertices:
         graph.add_vertex("a", 3.0)
         assert graph.vertex_weight("a") == 3.0
 
-    def test_negative_vertex_weight_rejected(self):
-        graph = DynamicGraph()
+    @pytest.mark.parametrize("graph_class", [DynamicGraph, ArrayGraph])
+    @pytest.mark.parametrize("weight", [-1.0, math.nan, math.inf, -math.inf])
+    def test_negative_vertex_weight_rejected(self, graph_class, weight):
+        graph = graph_class()
         with pytest.raises(InvalidWeightError):
-            graph.add_vertex("a", -1.0)
+            graph.add_vertex("a", weight)
+        assert not graph.has_vertex("a")
+        graph.add_vertex("b", 1.0)
+        with pytest.raises(InvalidWeightError):
+            graph.set_vertex_weight("b", weight)
+        assert graph.vertex_weight("b") == 1.0
 
     def test_set_vertex_weight(self):
         graph = DynamicGraph()
@@ -85,12 +95,13 @@ class TestEdges:
         graph.add_edge("b", "a", 2.0)
         assert graph.num_edges() == 2
 
-    def test_zero_or_negative_edge_weight_rejected(self):
-        graph = DynamicGraph()
+    @pytest.mark.parametrize("graph_class", [DynamicGraph, ArrayGraph])
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_zero_or_negative_edge_weight_rejected(self, graph_class, weight):
+        graph = graph_class()
         with pytest.raises(InvalidWeightError):
-            graph.add_edge("a", "b", 0.0)
-        with pytest.raises(InvalidWeightError):
-            graph.add_edge("a", "b", -1.0)
+            graph.add_edge("a", "b", weight)
+        assert graph.num_vertices() == 0 and graph.num_edges() == 0
 
     def test_self_loop_rejected(self):
         graph = DynamicGraph()

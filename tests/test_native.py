@@ -36,12 +36,13 @@ from repro.core.insertion import insert_edge
 from repro.core.state import PeelingState
 from repro.errors import KernelUnavailableError
 from repro.graph.array_graph import ArrayGraph
+from repro.graph.csr import _ARRAY_FIELDS as CSR_ARRAY_FIELDS
 from repro.graph.csr import freeze_graph
 from repro.native import build as native_build
 from repro.peeling.semantics import dg_semantics, dw_semantics, fraudar_semantics
 from repro.peeling.static import peel, peel_csr
 
-from tests.helpers import dyadic_weight, random_weighted_edges
+from tests.helpers import add_until_compaction, dyadic_weight, random_weighted_edges
 
 SRC_DIR = Path(repro.__file__).resolve().parent.parent
 
@@ -229,41 +230,123 @@ class TestIncrementalDifferential:
         assert communities[0].density == communities[1].density == communities[2].density
 
 
-@needs_native
-class TestArrayGraphNativeTables:
-    """The incremental pointer tables must track every pool mutation."""
+def _assert_kernel_view_matches(graph: ArrayGraph) -> None:
+    """The kernel's ``(base, start, length)`` view of every id is its incidence."""
+    adjacency = graph.native_adjacency()
+    out_nbr, out_w, out_start, out_len, in_nbr, in_w, in_start, in_len = adjacency
+    assert len(out_start) == len(out_len) == len(in_start) == len(in_len)
+    assert len(out_start) >= len(graph.interner)
+    for vid in range(len(out_start)):
+        runs = []
+        for nbr, w, start, length in (
+            (out_nbr, out_w, out_start[vid], out_len[vid]),
+            (in_nbr, in_w, in_start[vid], in_len[vid]),
+        ):
+            assert 0 <= start and start + length <= len(nbr) == len(w)
+            runs.append((nbr[start : start + length], w[start : start + length]))
+        ids, weights = graph.incident_arrays_id(vid)
+        assert np.array_equal(np.concatenate([runs[0][0], runs[1][0]]), ids)
+        assert np.array_equal(np.concatenate([runs[0][1], runs[1][1]]), weights)
 
-    def _assert_tables_match(self, graph: ArrayGraph) -> None:
-        out_p, out_w, out_len, in_p, in_w, in_len, pooled = graph.native_adjacency()
-        for vid in range(pooled):
-            ids, weights = graph.incident_arrays_id(vid)
-            assert out_len[vid] + in_len[vid] == len(ids)
 
-    def test_tables_survive_growth_and_removal(self):
+def _compacted_graph(seed: int = 1):
+    """An array graph whose last append compacted an arena, plus unused edges."""
+    graph = ArrayGraph()
+    edges = random_weighted_edges(30, 300, random.Random(seed))
+    return graph, add_until_compaction(graph, edges)
+
+
+class TestArrayGraphArena:
+    """The kernel walks the arenas as they are at each call, whatever moved them."""
+
+    def test_view_survives_growth_and_removal(self):
         rng = random.Random(31)
         graph = ArrayGraph()
         graph.add_edge("hub", "v0", 1.0)
-        graph.native_adjacency()  # build the tables early, then mutate
-        # Append enough hub edges to force several pool reallocs.
+        _assert_kernel_view_matches(graph)
+        # Enough hub edges to move its runs several times and grow the arenas.
         for i in range(1, 80):
             graph.add_edge("hub", f"v{i}", 1.0 + i / 64.0)
             graph.add_edge(f"v{i}", "hub", 0.5)
-        self._assert_tables_match(graph)
+        _assert_kernel_view_matches(graph)
         for i in range(0, 40, 3):
             graph.remove_edge("hub", f"v{i}")
-        self._assert_tables_match(graph)
-        # New vertices after the build grow the id-indexed tables.
+        _assert_kernel_view_matches(graph)
+        # New vertices grow the per-id arrays.
         for i in range(30):
             graph.add_edge(f"x{i}", f"y{i}", dyadic_weight(rng))
-        self._assert_tables_match(graph)
+        _assert_kernel_view_matches(graph)
 
-    def test_clone_disables_tables(self):
-        graph = ArrayGraph(edges=[("a", "b", 1.0), ("b", "c", 2.0)])
-        graph.native_adjacency()
+    def test_view_after_compaction(self):
+        graph, rest = _compacted_graph()
+        _assert_kernel_view_matches(graph)
+        for src, dst, weight in rest[:40]:
+            graph.add_edge(src, dst, weight)
+        _assert_kernel_view_matches(graph)
+
+    def test_view_after_copy(self):
+        graph, rest = _compacted_graph(seed=2)
         clone = graph.copy()
-        clone.add_edge("c", "a", 4.0)
-        self._assert_tables_match(clone)
-        self._assert_tables_match(graph)
+        _assert_kernel_view_matches(clone)
+        for src, dst, weight in rest[:30]:
+            clone.add_edge(src, dst, weight)
+        clone.remove_edge(*rest[0][:2])
+        _assert_kernel_view_matches(clone)
+        _assert_kernel_view_matches(graph)
+        assert graph.num_edges() + 29 == clone.num_edges()
+
+    def test_view_after_from_csr(self):
+        source, rest = _compacted_graph(seed=3)
+        graph = ArrayGraph.from_csr(source.freeze())
+        _assert_kernel_view_matches(graph)
+        # Every run is full: the first append moves it and grows the arena.
+        for src, dst, weight in rest[:30]:
+            graph.add_edge(src, dst, weight)
+        _assert_kernel_view_matches(graph)
+
+    def test_freeze_round_trips_through_from_csr_after_mixed_stream(self):
+        rng = random.Random(47)
+        graph = ArrayGraph()
+        live = []
+        for step in range(600):
+            if live and rng.random() < 0.25:
+                src, dst = live.pop(rng.randrange(len(live)))
+                graph.remove_edge(src, dst)
+                continue
+            src, dst = rng.randrange(40), rng.randrange(40)
+            if src != dst:
+                if not graph.has_edge(src, dst):
+                    live.append((src, dst))
+                graph.add_edge(src, dst, dyadic_weight(rng))
+        frozen = graph.freeze()
+        again = ArrayGraph.from_csr(frozen).freeze()
+        for name in CSR_ARRAY_FIELDS:
+            assert np.array_equal(getattr(again, name), getattr(frozen, name)), name
+            assert getattr(again, name).dtype == getattr(frozen, name).dtype, name
+        assert again.labels == frozen.labels
+        assert again.total_edge_weight == frozen.total_edge_weight
+
+    @needs_native
+    @pytest.mark.parametrize("layout", ["compacted", "from_csr"])
+    def test_native_reorder_matches_python(self, layout):
+        """Updates landing on a just-compacted / slack-free arena reorder alike."""
+        semantics = dw_semantics()
+        states = []
+        for kernel in ("python", "native"):
+            graph, rest = _compacted_graph(seed=5)
+            if layout == "from_csr":
+                graph = ArrayGraph.from_csr(graph.freeze())
+            states.append(PeelingState(graph, semantics, kernel=kernel))
+        python_state, native_state = states
+        _assert_states_identical(python_state, native_state)
+        for src, dst, weight in rest[:40]:
+            insert_edge(python_state, src, dst, weight)
+            insert_edge(native_state, src, dst, weight)
+            _assert_states_identical(python_state, native_state)
+        for src, dst, _weight in rest[:40:7]:
+            delete_edges(python_state, [(src, dst)])
+            delete_edges(native_state, [(src, dst)])
+            _assert_states_identical(python_state, native_state)
 
 
 class TestBuildLayer:
