@@ -85,7 +85,8 @@ class Spade:
         :meth:`enable_edge_grouping`.
     backend:
         Graph backend name — ``"dict"`` (label-keyed adjacency dicts) or
-        ``"array"`` (interned ids over numpy edge pools, the fast path).
+        ``"array"`` (interned ids, each vertex's edges a run in numpy
+        arenas; the fast path).
         ``None`` uses the process default
         (:func:`repro.graph.backend.get_default_backend`).  When set
         explicitly, :meth:`load_graph` converts an adopted graph of a

@@ -759,3 +759,46 @@ class ArrayGraph:
         graph._num_edges = snapshot.num_edges
         graph._total_edge_weight = snapshot.total_edge_weight
         return graph
+
+    # ------------------------------------------------------------------ #
+    # Bulk load (``PeelingSemantics.materialize``)
+    # ------------------------------------------------------------------ #
+    def accumulate_weights(self, ends: np.ndarray, weights: np.ndarray) -> None:
+        """Set incident weights and the total as ``add_edge`` would sum them.
+
+        ``ends`` interleaves the ids of each edge's ends as ``(src_0,
+        dst_0, src_1, dst_1, ...)``.  The result is, bit for bit, what
+        inserting edge ``k`` with ``weights[k]`` for ``k = 0, 1, ...`` into
+        a graph with no edges accumulates: ``np.bincount`` adds in index
+        order and the total is the sequential sum.  The arenas are left as
+        they are.
+        """
+        from repro.graph.csr import sequential_sum
+
+        self._iw = np.bincount(ends, np.repeat(weights, 2), len(self._vw))
+        self._total_edge_weight = sequential_sum(weights)
+        self._version += 1
+        self._snapshot_cache = None
+
+    def set_edge_weights(
+        self, ends: np.ndarray, weights: np.ndarray, vertex_weights: Iterable[float]
+    ) -> None:
+        """Overwrite every edge weight and every prior at once.
+
+        The runs must hold exactly the distinct edges of ``ends`` (laid out
+        as in :meth:`accumulate_weights`), each run in edge order, as a
+        graph built from them by :meth:`from_csr` or by ``add_edge`` does.
+        Edge ``k`` gets ``weights[k]`` and the vertex with id ``i`` gets
+        ``vertex_weights[i]``; incident weights and the total are then what
+        inserting the edges in that order accumulates.
+        """
+        from repro.graph.csr import stable_argsort
+
+        for arena, owner in ((self._out, ends[0::2]), (self._in, ends[1::2])):
+            order = stable_argsort(owner)
+            grouped = owner[order]
+            slot = np.arange(len(grouped)) - np.searchsorted(grouped, grouped)
+            arena.w[arena.start[grouped] + slot] = weights[order]
+        priors = np.asarray(vertex_weights, dtype=np.float64)
+        self._vw[: len(priors)] = priors
+        self.accumulate_weights(ends, weights)

@@ -20,7 +20,8 @@ Design points
   of its arena through one ``np.repeat`` index — no per-vertex numpy
   dispatches; :meth:`CsrSnapshot.from_edges`
   builds a snapshot from flat edge arrays with ``np.bincount`` + stable
-  ``argsort`` for callers that never materialise a mutable graph at all.
+  ``argsort``, which is how the bulk load
+  (``PeelingSemantics.materialize``) builds its graph.
 * **Zero-copy sharing.**  :meth:`save` writes an *uncompressed* ``.npz``;
   :meth:`load` with ``mmap_mode="r"`` memory-maps each stored ``.npy``
   member in place (numpy itself ignores ``mmap_mode`` for zip archives, so
@@ -44,7 +45,7 @@ import numpy as np
 
 from repro.errors import ReproError
 
-__all__ = ["CsrSnapshot", "freeze_graph"]
+__all__ = ["CsrSnapshot", "freeze_graph", "sequential_sum", "stable_argsort"]
 
 _EMPTY_I32 = np.empty(0, dtype=np.int32)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
@@ -67,6 +68,25 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     """Mark an array read-only and return it."""
     array.flags.writeable = False
     return array
+
+
+def sequential_sum(weights: np.ndarray) -> float:
+    """``(w[0] + w[1]) + w[2] + ...``: the order ``add_edge`` accumulates a total in.
+
+    ``weights.sum()`` sums pairwise, which can differ in the last bits.
+    """
+    return float(np.cumsum(weights)[-1]) if len(weights) else 0.0
+
+
+def stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, 2**31)``.
+
+    The composite keys ``key * n + position`` are unique, so any sort of
+    them yields the stable permutation, and numpy's default sort is several
+    times faster on them than its stable sort is on the keys alone.
+    """
+    n = len(keys)
+    return np.argsort(keys.astype(np.int64) * n + np.arange(n))
 
 
 def _segment_gather(
@@ -168,10 +188,11 @@ class CsrSnapshot:
     ) -> "CsrSnapshot":
         """Build a snapshot from flat ``(src, dst, weight)`` edge arrays.
 
-        Pure ``np.bincount`` / cumsum / stable-``argsort`` construction —
-        O(|E|) with no per-vertex Python loop.  Neighbor runs come out in
-        edge-array order per vertex, matching run insertion order when the
-        edge arrays are in insertion order.
+        Pure ``np.bincount`` / cumsum / :func:`stable_argsort` construction —
+        O(|E|) with no per-vertex Python loop.  The edges must be distinct
+        pairs.  Neighbor runs come out in edge-array order per vertex, and
+        ``total_edge_weight`` is the sequential sum, so the snapshot equals
+        the freeze of a graph that inserts the edges in array order.
         """
         src = np.asarray(src, dtype=np.int32)
         dst = np.asarray(dst, dtype=np.int32)
@@ -182,8 +203,8 @@ class CsrSnapshot:
         in_counts = np.bincount(dst, minlength=num_ids).astype(np.int64)
         out_offsets = np.concatenate(([0], np.cumsum(out_counts)))
         in_offsets = np.concatenate(([0], np.cumsum(in_counts)))
-        out_order = np.argsort(src, kind="stable")
-        in_order = np.argsort(dst, kind="stable")
+        out_order = stable_argsort(src)
+        in_order = stable_argsort(dst)
         if vertex_weights is None:
             vertex_weights = np.zeros(num_ids, dtype=np.float64)
         member = np.zeros(num_ids, dtype=bool)
@@ -200,7 +221,7 @@ class CsrSnapshot:
             in_offsets=_frozen(in_offsets),
             in_neighbors=_frozen(src[in_order].copy()),
             in_weights=_frozen(weights[in_order].copy()),
-            total_edge_weight=float(weights.sum()),
+            total_edge_weight=sequential_sum(weights),
             labels=labels,
         )
 

@@ -3,7 +3,7 @@
 Every graph backend owns a :class:`VertexInterner` that maps the arbitrary
 hashable vertex labels used by the public API ("alice", 42, ``("c", 7)``)
 to dense non-negative integers assigned in first-seen order.  All hot-path
-data structures — adjacency pools, peeling positions, tie-break keys —
+data structures — adjacency arena runs, peeling positions, tie-break keys —
 are indexed by these dense ids, so the inner loops of the incremental
 engine (:mod:`repro.core.reorder`) and of the static peel
 (:mod:`repro.peeling.static`) never hash or compare Python objects.

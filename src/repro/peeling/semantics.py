@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Mapping, Optional
+from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import SemanticsError
+import numpy as np
+
+from repro.errors import InvalidWeightError, SemanticsError
 from repro.graph.graph import DynamicGraph, Vertex
 
 __all__ = [
@@ -68,6 +70,35 @@ def _unit_edge_susp(_src: Vertex, _dst: Vertex, _raw: float, _graph: DynamicGrap
 def _raw_edge_susp(_src: Vertex, _dst: Vertex, raw: float, _graph: DynamicGraph) -> float:
     """Edge suspiciousness equal to the raw transaction weight (DW)."""
     return raw
+
+
+def _intern_edges(edges) -> Tuple[List[Vertex], np.ndarray, np.ndarray]:
+    """Check raw edges as ``add_edge`` does and intern their labels.
+
+    Returns the labels in first-appearance order (src, then dst, per
+    edge), the ``int64`` ids of every edge's ends interleaved as
+    ``(src_0, dst_0, src_1, dst_1, ...)``, and the raw weights in input
+    order.
+    """
+    id_of: Dict[Vertex, int] = {}
+    ends: List[int] = []
+    raws: List[float] = []
+    for item in edges:
+        if len(item) == 2:
+            src, dst = item
+            raw = 1.0
+        else:
+            src, dst, raw = item[0], item[1], float(item[2])
+        if not 0.0 < raw < math.inf:
+            raise InvalidWeightError(
+                f"edge weight must be finite and > 0, got {raw} for ({src!r}, {dst!r})"
+            )
+        if src == dst:
+            raise InvalidWeightError(f"self loops are not part of the transaction model: {src!r}")
+        ends.append(id_of.setdefault(src, len(id_of)))
+        ends.append(id_of.setdefault(dst, len(id_of)))
+        raws.append(raw)
+    return list(id_of), np.array(ends, dtype=np.int64), np.array(raws, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -133,39 +164,80 @@ class PeelingSemantics:
         Parameters
         ----------
         edges:
-            Iterable of ``(src, dst)`` or ``(src, dst, raw_weight)`` tuples.
+            Iterable of ``(src, dst)`` or ``(src, dst, raw_weight)`` tuples,
+            read once.
         vertex_priors:
             Optional side-information priors overriding ``vsusp``.
         backend:
             Graph backend name (``"dict"`` / ``"array"``); ``None`` uses the
             process default (:func:`repro.graph.backend.get_default_backend`).
 
-        The graph is built in two passes: structure first, then weights, so
-        that degree-dependent semantics such as Fraudar see the *final*
-        degrees exactly as the original static algorithms do.
+        One pass over ``edges`` checks each edge as ``add_edge`` does and
+        interns its labels in first-appearance order (src, then dst).
+        Duplicate pairs then merge in arrays: the distinct pairs keep the
+        order of their first appearance and their raw weights sum in input
+        order.  The merged pairs are built into one graph through a CSR
+        snapshot.  It holds the raw merged weights and zero priors, and it
+        is the graph ``vsusp`` and ``esusp`` are handed, so degree-dependent
+        semantics such as Fraudar see the *final* degrees, as the original
+        static algorithms do.  ``vsusp`` runs once per vertex and ``esusp``
+        once per distinct pair, both in first-appearance order.
+
+        The array backend then writes the evaluated weights into that same
+        graph; the dict backend inserts them into a fresh graph, one
+        ``add_edge`` per distinct pair.  Either way the result is, bit for
+        bit, what inserting the distinct pairs in that order with their
+        evaluated weights builds.
         """
+        from repro.graph.array_graph import ArrayGraph
         from repro.graph.backend import create_graph
+        from repro.graph.csr import CsrSnapshot, sequential_sum
 
-        structural = create_graph(backend)
-        raw_weights = {}
-        for item in edges:
-            if len(item) == 2:
-                src, dst = item
-                raw = 1.0
-            else:
-                src, dst, raw = item[0], item[1], float(item[2])
-            structural.add_edge(src, dst, raw)
-            raw_weights[(src, dst)] = raw_weights.get((src, dst), 0.0) + raw
+        weighted = create_graph(backend)  # checks the name; the dict backend fills it
+        labels, ends, raw = _intern_edges(edges)
+        src, dst = ends[0::2], ends[1::2]
+        _keys, first, inverse = np.unique(
+            src * len(labels) + dst, return_index=True, return_inverse=True
+        )
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        first.sort()
+        pair_ends = ends.reshape(-1, 2)[first].ravel()
+        pair_raw = np.bincount(rank[inverse], raw, len(first))
+        snapshot = CsrSnapshot.from_edges(
+            pair_ends[0::2], pair_ends[1::2], pair_raw, num_ids=len(labels), labels=labels
+        )
+        # What a graph that inserts every input edge sums, duplicates unmerged.
+        snapshot.total_edge_weight = sequential_sum(raw)
+        graph = type(weighted).from_csr(snapshot)
+        in_place = isinstance(graph, ArrayGraph)
+        if in_place:
+            graph.accumulate_weights(ends, raw)
 
-        weighted = create_graph(backend)
-        for vertex in structural.vertices():
+        priors = []
+        for vertex in labels:
             if vertex_priors is not None and vertex in vertex_priors:
                 prior = float(vertex_priors[vertex])
+                if not 0.0 <= prior < math.inf:
+                    raise InvalidWeightError(
+                        f"vertex weight must be finite and >= 0, got {prior} for {vertex!r}"
+                    )
             else:
-                prior = self.vertex_weight(vertex, structural)
+                prior = self.vertex_weight(vertex, graph)
+            priors.append(prior)
+        pair_src, pair_dst = pair_ends[0::2].tolist(), pair_ends[1::2].tolist()
+        weights = [
+            self.edge_weight(labels[s], labels[d], r, graph)
+            for s, d, r in zip(pair_src, pair_dst, pair_raw.tolist())
+        ]
+
+        if in_place:
+            graph.set_edge_weights(pair_ends, np.array(weights, dtype=np.float64), priors)
+            return graph
+        for vertex, prior in zip(labels, priors):
             weighted.add_vertex(vertex, prior)
-        for (src, dst), raw in raw_weights.items():
-            weighted.add_edge(src, dst, self.edge_weight(src, dst, raw, structural))
+        for s, d, weight in zip(pair_src, pair_dst, weights):
+            weighted.add_edge(labels[s], labels[d], weight)
         return weighted
 
     def with_name(self, name: str) -> "PeelingSemantics":

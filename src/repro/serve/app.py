@@ -199,7 +199,6 @@ class ServeApp:
         self.config = config
         self.serve_config: ServeConfig = config.serve  # type: ignore[assignment]
         self._semantics = semantics
-        self._initial_edges = initial_edges
         self._started_at = time.time()
 
         self.metrics = MetricsRegistry()

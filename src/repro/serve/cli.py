@@ -162,8 +162,12 @@ def _resolve_config(args: argparse.Namespace) -> EngineConfig:
     return config
 
 
-async def _run(config: EngineConfig, initial_edges: Optional[List[tuple]]) -> None:
-    app = ServeApp(config, initial_edges=initial_edges)
+async def _run(config: EngineConfig, load: Optional[Path]) -> None:
+    # Read here and held by no name, so the edge list is freed once the
+    # initial graph is built instead of living as long as the server.
+    app = ServeApp(
+        config, initial_edges=load_initial_edges(load) if load is not None else None
+    )
     await app.start()
     print(
         f"repro.serve listening on http://{app.serve_config.host}:{app.server.port} "
@@ -188,9 +192,8 @@ async def _run(config: EngineConfig, initial_edges: Optional[List[tuple]]) -> No
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     config = _resolve_config(args)
-    initial = load_initial_edges(args.load) if args.load is not None else None
     try:
-        asyncio.run(_run(config, initial))
+        asyncio.run(_run(config, args.load))
     except KeyboardInterrupt:  # pragma: no cover - interactive convenience
         pass
     return 0

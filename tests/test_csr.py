@@ -268,6 +268,26 @@ class TestSnapshotSemantics:
         assert snapshot.in_neighbors.tolist() == [2, 0, 0, 1]
         assert snapshot.total_edge_weight == 10.0
 
+    @SETTINGS
+    @given(edges=csr_edge_lists())
+    def test_from_edges_total_matches_inserted_graph(self, edges):
+        """The total is summed in insertion order, as ``add_edge`` sums it."""
+        graph = ArrayGraph(vertices=range(18))
+        for src, dst, weight in edges:
+            graph.add_edge(src, dst, weight)
+        src, dst, weights = (np.array(column) for column in zip(*edges))
+        snapshot = CsrSnapshot.from_edges(src, dst, weights, num_ids=18)
+        assert snapshot.total_edge_weight == graph.freeze().total_edge_weight
+
+    def test_from_edges_total_is_sequential_not_pairwise(self):
+        weights = np.full(200, 0.1)
+        snapshot = CsrSnapshot.from_edges(np.arange(200), np.arange(1, 201), weights)
+        sequential = 0.0
+        for weight in weights.tolist():
+            sequential += weight
+        assert weights.sum() != sequential
+        assert snapshot.total_edge_weight == sequential
+
 
 class TestReadPathRouting:
     """The analytics consumers produce identical answers through the snapshot."""

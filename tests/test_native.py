@@ -348,6 +348,36 @@ class TestArrayGraphArena:
             delete_edges(native_state, [(src, dst)])
             _assert_states_identical(python_state, native_state)
 
+    @needs_native
+    @pytest.mark.parametrize("name", sorted(SEMANTICS))
+    def test_native_updates_on_a_bulk_loaded_graph(self, name):
+        """``materialize`` leaves every run full, so each first insert at a
+        vertex moves its run and may reallocate the arena under the kernel."""
+        semantics = SEMANTICS[name]()
+        edges = _hub_edges()
+        # Repeated pairs in the load merge into one edge each.
+        initial = edges[:1800] + [(src, dst, 0.75) for src, dst, _w in edges[:1800:9]]
+        rest = edges[1800:]
+        states = []
+        for kernel in ("python", "native"):
+            graph = semantics.materialize(initial, backend="array")
+            assert graph.native_adjacency()[0].size == graph.num_edges()
+            states.append(PeelingState(graph, semantics, kernel=kernel))
+        python_state, native_state = states
+        _assert_states_identical(python_state, native_state)
+        for src, dst, weight in rest[:60]:
+            insert_edge(python_state, src, dst, weight)
+            insert_edge(native_state, src, dst, weight)
+            _assert_states_identical(python_state, native_state)
+        insert_batch(python_state, list(rest[60:260]))
+        insert_batch(native_state, list(rest[60:260]))
+        _assert_states_identical(python_state, native_state)
+        for src, dst, _weight in initial[:400:37] + rest[:60:11]:
+            delete_edges(python_state, [(src, dst)])
+            delete_edges(native_state, [(src, dst)])
+            _assert_states_identical(python_state, native_state)
+        _assert_kernel_view_matches(native_state.graph)
+
 
 class TestBuildLayer:
     @needs_compiler
