@@ -465,7 +465,6 @@ def _reorder_native(
     """
     graph = state.graph
     touched, in_queue_mask = state.reorder_masks()
-    inq_val = state.reorder_queue_values()
     raw = nk.reorder(
         graph.native_adjacency(),
         graph._vw,
@@ -476,7 +475,6 @@ def _reorder_native(
         state._pos_buf,
         touched,
         in_queue_mask,
-        inq_val,
         np.asarray(seed_ids, dtype=np.int32),
         np.asarray(seed_positions, dtype=np.int64),
         SMALL_DEGREE,

@@ -155,7 +155,6 @@ class PeelingState:
         self._community_cache: Optional[Community] = None
         self._touched_scratch: Optional[np.ndarray] = None
         self._inq_scratch: Optional[np.ndarray] = None
-        self._inq_val_scratch: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Interner plumbing
@@ -192,16 +191,7 @@ class PeelingState:
                 grown_capacity = max(grown_capacity, 2 * len(self._touched_scratch))
             self._touched_scratch = np.zeros(grown_capacity, dtype=bool)
             self._inq_scratch = np.zeros(grown_capacity, dtype=bool)
-            # Companion f64 scratch for the native reorder kernel: the
-            # queue priority per id, meaningful only where the in-queue
-            # mask is set (so it never needs resetting).
-            self._inq_val_scratch = np.zeros(grown_capacity, dtype=np.float64)
         return self._touched_scratch, self._inq_scratch
-
-    def reorder_queue_values(self) -> np.ndarray:
-        """The f64 queue-priority scratch paired with :meth:`reorder_masks`."""
-        self.reorder_masks()
-        return self._inq_val_scratch
 
     # ------------------------------------------------------------------ #
     # Sequence views

@@ -18,10 +18,14 @@
  *   8-accumulator algorithm from numpy's umath loops, which np.sum uses
  *   for float64 reductions) — verified at load time against np.sum by the
  *   self-check in repro/native/kernels.py;
- * - the heaps pop in exactly the order python's heapq pops: all live
- *   (weight, id) keys in a peel heap are distinct (a vertex's value
- *   strictly decreases with every push, ids break weight ties), so any
- *   correct binary min-heap pops the identical sequence.
+ * - the heaps pop in exactly the order the python loops' lazy-deletion
+ *   heapq pops.  Those loops skip every entry whose weight is no longer
+ *   its vertex's current one, so each pop they act on is the minimum of
+ *   the live (current weight, id) keys.  Ids break weight ties, so live
+ *   keys are distinct under a total order and that minimum is unique.
+ *   The kernels keep one entry per live id in an indexed min-heap and
+ *   rewrite its key in place, so the root is that same minimum at every
+ *   step, whatever shape the heap has.
  *
  * Build: cc -O2 -fPIC -shared  (never -ffast-math: it would reassociate).
  */
@@ -74,8 +78,9 @@ EXPORT double repro_pw_sum(const double *a, int64_t n)
 }
 
 /* ------------------------------------------------------------------ */
-/* (weight, id) binary min-heap with lexicographic order — the exact    */
-/* comparison heapq performs on (float, int) tuples.                    */
+/* Indexed (weight, id) binary min-heap with lexicographic order — the  */
+/* exact comparison heapq performs on (float, int) tuples.  One entry   */
+/* per queued id; slot[id] is that entry's index, valid while queued.   */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -87,6 +92,7 @@ typedef struct {
     HeapEntry *data;
     int64_t len;
     int64_t cap;
+    int32_t *slot;
 } Heap;
 
 static inline int entry_lt(HeapEntry a, HeapEntry b)
@@ -94,81 +100,77 @@ static inline int entry_lt(HeapEntry a, HeapEntry b)
     return a.w < b.w || (a.w == b.w && a.v < b.v);
 }
 
-static inline void sift_down(HeapEntry *h, int64_t start, int64_t pos)
+static inline void heap_set(Heap *h, int64_t i, HeapEntry e)
 {
-    /* heapq._siftdown: move h[pos] toward the root while smaller. */
-    HeapEntry item = h[pos];
-    while (pos > start) {
-        int64_t parent = (pos - 1) >> 1;
-        if (entry_lt(item, h[parent])) {
-            h[pos] = h[parent];
-            pos = parent;
-        } else {
+    h->data[i] = e;
+    h->slot[e.v] = (int32_t)i;
+}
+
+/* Move the entry at i toward the root while it beats its parent. */
+static inline int64_t heap_rise(Heap *h, int64_t i)
+{
+    HeapEntry item = h->data[i];
+    while (i > 0) {
+        int64_t parent = (i - 1) >> 1;
+        if (!entry_lt(item, h->data[parent]))
             break;
-        }
+        heap_set(h, i, h->data[parent]);
+        i = parent;
     }
-    h[pos] = item;
+    heap_set(h, i, item);
+    return i;
 }
 
-static inline void sift_up(HeapEntry *h, int64_t n, int64_t pos)
+/* Move the entry at i toward the leaves while a child beats it. */
+static inline void heap_sink(Heap *h, int64_t i)
 {
-    /* heapq._siftup: bubble the hole down to a leaf, then sift back. */
-    int64_t start = pos;
-    HeapEntry item = h[pos];
-    int64_t child = 2 * pos + 1;
-    while (child < n) {
-        if (child + 1 < n && !entry_lt(h[child], h[child + 1]))
-            child += 1;
-        h[pos] = h[child];
-        pos = child;
-        child = 2 * pos + 1;
+    HeapEntry item = h->data[i];
+    for (int64_t child = 2 * i + 1; child < h->len; child = 2 * i + 1) {
+        if (child + 1 < h->len && entry_lt(h->data[child + 1], h->data[child]))
+            child++;
+        if (!entry_lt(h->data[child], item))
+            break;
+        heap_set(h, i, h->data[child]);
+        i = child;
     }
-    h[pos] = item;
-    sift_down(h, start, pos);
-}
-
-static int heap_reserve(Heap *h, int64_t need)
-{
-    if (need <= h->cap)
-        return 0;
-    int64_t cap = h->cap ? h->cap : 64;
-    while (cap < need)
-        cap *= 2;
-    HeapEntry *grown = (HeapEntry *)realloc(h->data, (size_t)cap * sizeof(HeapEntry));
-    if (!grown)
-        return -1;
-    h->data = grown;
-    h->cap = cap;
-    return 0;
+    heap_set(h, i, item);
 }
 
 static inline int heap_push(Heap *h, double w, int32_t v)
 {
-    if (h->len == h->cap && heap_reserve(h, h->len + 1))
-        return -1;
+    if (h->len == h->cap) {
+        int64_t cap = h->cap ? 2 * h->cap : 64;
+        HeapEntry *grown = (HeapEntry *)realloc(h->data, (size_t)cap * sizeof(HeapEntry));
+        if (!grown)
+            return -1;
+        h->data = grown;
+        h->cap = cap;
+    }
     h->data[h->len].w = w;
     h->data[h->len].v = v;
-    h->len++;
-    sift_down(h->data, 0, h->len - 1);
+    heap_rise(h, h->len++);
     return 0;
 }
 
-static inline HeapEntry heap_pop(Heap *h)
+/* Remove the root; the caller has read it.  slot[] of the removed id is
+ * set to -1, which repro_peel reads as "not queued". */
+static inline void heap_pop(Heap *h)
 {
-    HeapEntry last = h->data[--h->len];
-    if (h->len) {
-        HeapEntry top = h->data[0];
-        h->data[0] = last;
-        sift_up(h->data, h->len, 0);
-        return top;
+    h->slot[h->data[0].v] = -1;
+    if (--h->len) {
+        heap_set(h, 0, h->data[h->len]);
+        heap_sink(h, 0);
     }
-    return last;
 }
 
-static void heapify(Heap *h)
+/* Rewrite v's key in place.  A key only falls while weights are
+ * positive, but sinking when it did not rise keeps any value correct. */
+static inline void heap_update(Heap *h, int32_t v, double w)
 {
-    for (int64_t i = h->len / 2 - 1; i >= 0; i--)
-        sift_up(h->data, h->len, i);
+    int64_t i = h->slot[v];
+    h->data[i].w = w;
+    if (heap_rise(h, i) == i)
+        heap_sink(h, i);
 }
 
 /* ------------------------------------------------------------------ */
@@ -177,17 +179,16 @@ static void heapify(Heap *h)
 
 /* The vectorised phase-1 initialisation (member-restricted incident
  * weights, total) stays in numpy on the Python side; this kernel is the
- * phase-2 greedy loop: lazy-deletion min-heap over the combined-incidence
- * CSR.  `init_cur[i]` is the initial peeling weight of `member_ids[i]`.
- * Writes the peel order / weights into `order_out` / `weights_out`
- * (length k each) and returns the number peeled (== k), or -1 on
+ * phase-2 greedy loop over the combined-incidence CSR.  `init_cur[i]` is
+ * the initial peeling weight of `member_ids[i]`.  Writes the peel order /
+ * weights into `order_out` / `weights_out` (length k each) and returns
+ * the number peeled (== k unless member_ids repeats an id), or -1 on
  * allocation failure.
  *
- * The python loop periodically compacts its heap; compaction is
- * output-invariant (stale entries never produce output), so this kernel
- * skips it and instead sizes the heap once: total pushes are bounded by
- * k + total incidence entries (each directed incidence slot is walked at
- * most once, when its owning vertex is peeled).
+ * The heap holds exactly the live members, so it is sized once at k:
+ * heapify the initial weights, pop the minimum, and rewrite each live
+ * neighbour's key in place.  slot[id] >= 0 marks an unpeeled member; the
+ * key is its current peeling weight, so no separate array holds it.
  */
 EXPORT int64_t repro_peel(
     const int64_t *inc_off,
@@ -202,55 +203,45 @@ EXPORT int64_t repro_peel(
 {
     if (k <= 0)
         return 0;
-    double *cur = (double *)malloc((size_t)num_ids * sizeof(double));
-    uint8_t *alive = (uint8_t *)calloc((size_t)num_ids, 1);
-    Heap heap = {0, 0, 0};
+    Heap heap = {0, 0, 0, 0};
+    heap.data = (HeapEntry *)malloc((size_t)k * sizeof(HeapEntry));
+    heap.slot = (int32_t *)malloc((size_t)num_ids * sizeof(int32_t));
     int64_t produced = -1;
-    if (!cur || !alive)
+    if (!heap.data || !heap.slot)
         goto done;
-    if (heap_reserve(&heap, k + inc_off[num_ids] + 1))
-        goto done;
+    memset(heap.slot, 0xff, (size_t)num_ids * sizeof(int32_t));
 
     for (int64_t i = 0; i < k; i++) {
         int32_t vid = member_ids[i];
-        cur[vid] = init_cur[i];
-        alive[vid] = 1;
-        heap.data[i].w = init_cur[i];
-        heap.data[i].v = vid;
+        if (heap.slot[vid] >= 0)
+            continue; /* a repeated id is peeled once */
+        heap.data[heap.len].w = init_cur[i];
+        heap.data[heap.len].v = vid;
+        heap.slot[vid] = (int32_t)heap.len++;
     }
-    heap.len = k;
-    heapify(&heap);
+    for (int64_t i = heap.len / 2 - 1; i >= 0; i--)
+        heap_sink(&heap, i);
 
     int64_t n_out = 0;
     while (heap.len) {
-        HeapEntry top = heap_pop(&heap);
-        int32_t vid = top.v;
-        if (!alive[vid] || cur[vid] != top.w)
-            continue; /* stale lazy-deletion entry */
-        alive[vid] = 0;
-        order_out[n_out] = vid;
+        HeapEntry top = heap.data[0];
+        heap_pop(&heap);
+        order_out[n_out] = top.v;
         weights_out[n_out] = top.w;
         n_out++;
-        int64_t end = inc_off[vid + 1];
-        for (int64_t j = inc_off[vid]; j < end; j++) {
+        int64_t end = inc_off[top.v + 1];
+        for (int64_t j = inc_off[top.v]; j < end; j++) {
             int32_t nbr = inc_nbr[j];
-            if (alive[nbr]) {
-                double value = cur[nbr] - inc_w[j];
-                cur[nbr] = value;
-                /* capacity was reserved up front; push cannot fail */
-                heap.data[heap.len].w = value;
-                heap.data[heap.len].v = nbr;
-                heap.len++;
-                sift_down(heap.data, 0, heap.len - 1);
-            }
+            int32_t at = heap.slot[nbr];
+            if (at >= 0)
+                heap_update(&heap, nbr, heap.data[at].w - inc_w[j]);
         }
     }
     produced = n_out;
 
 done:
-    free(cur);
-    free(alive);
     free(heap.data);
+    free(heap.slot);
     return produced;
 }
 
@@ -306,11 +297,9 @@ typedef struct {
     int64_t *pos_buf;
     uint8_t *touched;
     uint8_t *in_queue_mask;
-    double *inq_val;        /* queue priority per vid, valid iff mask set */
     int64_t small_degree;
     /* scratch */
-    Heap heap;
-    int64_t queue_count;    /* live queue entries (the dict size) */
+    Heap heap;              /* the queue T; its keys are the priorities */
     IslandBuf island;
     int32_t *queued_log;
     int64_t queued_len;
@@ -325,6 +314,7 @@ typedef struct {
     int64_t islands;
     /* loop coordinates */
     int64_t island_start;
+    int32_t repeat_vid;     /* the id a -3 exit tried to queue twice */
 } Reorder;
 
 static inline int64_t degree_of(const Reorder *r, int32_t vid)
@@ -426,52 +416,37 @@ static int recover_weight(Reorder *r, int32_t vid, double *out)
     return 0;
 }
 
+/* Returns -3 if vid is queued already: it would hold two heap slots. */
 static int push_to_queue(Reorder *r, int32_t vid)
 {
+    if (r->in_queue_mask[vid]) {
+        r->repeat_vid = vid;
+        return -3;
+    }
     double weight;
     if (recover_weight(r, vid, &weight))
         return -1;
     if (queued_log_push(r, vid))
         return -1;
-    r->inq_val[vid] = weight;
-    r->in_queue_mask[vid] = 1;
-    r->queue_count++;
     if (heap_push(&r->heap, weight, vid))
         return -1;
+    r->in_queue_mask[vid] = 1;
     r->queued_vertices++;
     return 0;
 }
 
-/* Live minimum of T; stale heap entries are popped on the way. Returns 0
- * with *found = 0 when the queue is empty. */
-static void queue_head(Reorder *r, int *found, double *w, int32_t *v)
-{
-    while (r->heap.len) {
-        HeapEntry top = r->heap.data[0];
-        if (!r->in_queue_mask[top.v] || r->inq_val[top.v] != top.w) {
-            heap_pop(&r->heap);
-            continue;
-        }
-        *found = 1;
-        *w = top.w;
-        *v = top.v;
-        return;
-    }
-    *found = 0;
-}
-
+/* Case 1: place the head of T (the heap root). */
 static int place_from_queue(Reorder *r, double weight, int32_t vid)
 {
     heap_pop(&r->heap);
     r->in_queue_mask[vid] = 0;
-    r->queue_count--;
     if (island_reserve(&r->island, r->island.len + 1))
         return -1;
     r->island.ids[r->island.len] = vid;
     r->island.ws[r->island.len] = weight;
     r->island.len++;
     r->pos_buf[vid] = r->head - 1; /* emitted sentinel */
-    if (r->queue_count == 0)
+    if (r->heap.len == 0)
         return 0; /* nothing pending: skip the traversal */
     int64_t n_out = vid < r->num_ids ? r->out_len[vid] : 0;
     int64_t n_in = vid < r->num_ids ? r->in_len[vid] : 0;
@@ -479,28 +454,20 @@ static int place_from_queue(Reorder *r, double weight, int32_t vid)
     if (n_out + n_in == 0)
         return 0;
     /* Both python branches (scalar and masked-vector) reduce to one
-     * scalar subtract + push per pending neighbour, in run order. */
+     * scalar subtract + decrease-key per pending neighbour, in run order. */
     const int32_t *onbr = r->out_nbr + r->out_start[vid];
     const double *ow = r->out_w + r->out_start[vid];
     const int32_t *inbr = r->in_nbr + r->in_start[vid];
     const double *iw = r->in_w + r->in_start[vid];
     for (int64_t i = 0; i < n_out; i++) {
         int32_t nbr = onbr[i];
-        if (r->in_queue_mask[nbr]) {
-            double lowered = r->inq_val[nbr] - ow[i];
-            r->inq_val[nbr] = lowered;
-            if (heap_push(&r->heap, lowered, nbr))
-                return -1;
-        }
+        if (r->in_queue_mask[nbr])
+            heap_update(&r->heap, nbr, r->heap.data[r->heap.slot[nbr]].w - ow[i]);
     }
     for (int64_t i = 0; i < n_in; i++) {
         int32_t nbr = inbr[i];
-        if (r->in_queue_mask[nbr]) {
-            double lowered = r->inq_val[nbr] - iw[i];
-            r->inq_val[nbr] = lowered;
-            if (heap_push(&r->heap, lowered, nbr))
-                return -1;
-        }
+        if (r->in_queue_mask[nbr])
+            heap_update(&r->heap, nbr, r->heap.data[r->heap.slot[nbr]].w - iw[i]);
     }
     return 0;
 }
@@ -555,8 +522,11 @@ static int flush_island(Reorder *r, int64_t end)
 }
 
 /* The full reorder pass.  stats_out: [queued, moved, scanned,
- * edge_traversals, islands, err_detail_a, err_detail_b].  Returns 0 on
- * success, -1 on allocation failure, -2 on island-accounting violation.
+ * edge_traversals, islands, island_len, island_start, repeat_vid].
+ * Returns 0 on success, -1 on allocation failure, -2 on island-accounting
+ * violation (detail in island_len / island_start), -3 when an id already
+ * queued is queued again (detail in repeat_vid).  num_slots bounds the
+ * ids the queue can hold (len(pos_buf): every sequence id indexes it).
  * The touched / in_queue masks are reset (exactly the entries this pass
  * set) on every exit path, mirroring the python finally block. */
 EXPORT int64_t repro_reorder(
@@ -575,9 +545,9 @@ EXPORT int64_t repro_reorder(
     int64_t head,
     int64_t n,
     int64_t *pos_buf,
+    int64_t num_slots,
     uint8_t *touched,
     uint8_t *in_queue_mask,
-    double *inq_val,
     const int32_t *seed_ids,
     int64_t num_seeds,
     const int64_t *seed_positions,
@@ -604,23 +574,19 @@ EXPORT int64_t repro_reorder(
     r.pos_buf = pos_buf;
     r.touched = touched;
     r.in_queue_mask = in_queue_mask;
-    r.inq_val = inq_val;
     r.small_degree = small_degree;
+    r.heap.slot = (int32_t *)malloc((size_t)num_slots * sizeof(int32_t));
 
     for (int64_t i = 0; i < num_seeds; i++)
         touched[seed_ids[i]] = 1;
 
-    int64_t rc = 0;
+    int64_t rc = r.heap.slot ? 0 : -1;
     int64_t seed_cursor = 0;
     r.island_start = seed_positions[0];
     int64_t k = r.island_start;
 
-    for (;;) {
-        int found;
-        double head_weight;
-        int32_t head_vid;
-        queue_head(&r, &found, &head_weight, &head_vid);
-        if (!found) {
+    while (rc == 0) {
+        if (r.heap.len == 0) {
             rc = flush_island(&r, k);
             if (rc)
                 break;
@@ -637,6 +603,8 @@ EXPORT int64_t repro_reorder(
             k++;
             continue;
         }
+        double head_weight = r.heap.data[0].w;
+        int32_t head_vid = r.heap.data[0].v;
         if (k >= n) {
             if ((rc = place_from_queue(&r, head_weight, head_vid)))
                 break;
@@ -682,8 +650,10 @@ EXPORT int64_t repro_reorder(
     stats_out[4] = r.islands;
     stats_out[5] = r.island.len;
     stats_out[6] = r.island_start;
+    stats_out[7] = r.repeat_vid;
 
     free(r.heap.data);
+    free(r.heap.slot);
     free(r.island.ids);
     free(r.island.ws);
     free(r.queued_log);

@@ -16,8 +16,10 @@ assumed, before a kernel is ever used on real data:
   against ``np.sum`` over a few hundred float64 arrays; a single non-equal
   bit disables the reorder kernel (numpy could change its reduction
   algorithm in a future release — degrade instead of diverging).
-* the peel kernel runs a small randomized peel and is compared entry by
-  entry against a pure-python replica of the lazy-deletion greedy loop.
+* the peel kernel runs two small randomized peels and is compared entry
+  by entry against a pure-python replica of the lazy-deletion greedy
+  loop: one with weights in sixteenths, one with weights in ``{1, 2}``,
+  where nearly every key ties on weight and only the id orders it.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class NativeKernels:
             [ctypes.c_void_p] * 8
             + [ctypes.c_longlong, ctypes.c_void_p]
             + [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong]
-            + [ctypes.c_void_p] * 4
+            + [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p]
             + [ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_longlong]
             + [ctypes.c_longlong, ctypes.c_void_p]
         )
@@ -124,7 +126,6 @@ class NativeKernels:
         pos_buf: np.ndarray,
         touched: np.ndarray,
         in_queue_mask: np.ndarray,
-        inq_val: np.ndarray,
         seed_ids: np.ndarray,
         seed_positions: np.ndarray,
         small_degree: int,
@@ -133,10 +134,11 @@ class NativeKernels:
 
         ``adjacency`` is the 8-tuple of arena arrays from
         ``ArrayGraph.native_adjacency()``, fetched for this call; its
-        ``out_start`` length is the id count the kernel may index.  Raises
+        ``out_start`` length is the id count the kernel may index, and
+        ``pos_buf``'s length the id count its queue may hold.  Raises
         ``MemoryError`` on allocation failure and ``AssertionError`` on an
         island-accounting violation — the same invariant the python loop
-        asserts.
+        asserts — or when an id already queued would be queued again.
         """
         stats = np.zeros(_STATS_LEN, dtype=np.int64)
         rc = self.lib.repro_reorder(
@@ -148,9 +150,9 @@ class NativeKernels:
             head,
             n,
             _ptr(pos_buf),
+            len(pos_buf),
             _ptr(touched),
             _ptr(in_queue_mask),
-            _ptr(inq_val),
             _ptr(seed_ids),
             len(seed_ids),
             _ptr(seed_positions),
@@ -165,6 +167,11 @@ class NativeKernels:
                 "island accounting error: "
                 f"{int(stats[5])} rebuilt vertices for span starting at "
                 f"{int(stats[6])}"
+            )
+        if rc == -3:
+            raise AssertionError(
+                f"reorder queue invariant: vertex id {int(stats[7])} "
+                "queued while already queued"
             )
         if rc != 0:  # pragma: no cover - future error codes
             raise RuntimeError(f"native reorder failed with code {rc}")
@@ -197,14 +204,18 @@ class NativeKernels:
         return True
 
     def _check_peel(self) -> bool:
-        order, weights, ref_order, ref_weights = self._peel_fixture()
-        if order.tolist() != ref_order or weights != ref_weights:
-            self.check_error = "peel kernel diverged from the reference loop"
-            return False
+        draws = (lambda rng: rng.randint(1, 64) / 16.0, lambda rng: rng.randint(1, 2))
+        for weight in draws:
+            order, weights, ref_order, ref_weights = self._peel_fixture(weight)
+            if order.tolist() != ref_order or weights != ref_weights:
+                self.check_error = "peel kernel diverged from the reference loop"
+                return False
         return True
 
-    def _peel_fixture(self):
+    def _peel_fixture(self, weight):
         """Random small peel: native vs a local replica of the flat loop.
+
+        ``weight(rng)`` draws each edge weight.
 
         The replica intentionally lives here (not imported from
         ``repro.peeling``) so the native package stays import-cycle-free
@@ -216,7 +227,7 @@ class NativeKernels:
         while len(edges) < 180:
             a, b = rng.randrange(num_ids), rng.randrange(num_ids)
             if a != b and (a, b) not in edges:
-                edges[(a, b)] = rng.randint(1, 64) / 16.0
+                edges[(a, b)] = float(weight(rng))
         out_adj: List[List[Tuple[int, float]]] = [[] for _ in range(num_ids)]
         in_adj: List[List[Tuple[int, float]]] = [[] for _ in range(num_ids)]
         for (a, b), w in edges.items():

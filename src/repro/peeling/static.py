@@ -299,11 +299,14 @@ def _peel_csr_ids(
        weight of every vertex in a handful of whole-graph numpy passes
        (see the lane-transpose trick below), reproducing the heap path's
        exact association order per vertex.
-    2. **Flat greedy loop** — the lazy-deletion min-heap loop over the
-       flattened CSR adjacency: one list read, one float subtraction and
-       one heap push per live incident edge, with periodic heap
-       compaction that keeps the queue at O(live vertices) instead of
-       O(|E|) stale entries.
+    2. **Flat greedy loop** — the min-heap loop over the flattened CSR
+       adjacency.  The python loop keeps a lazy-deletion heap: one list
+       read, one float subtraction and one heap push per live incident
+       edge, with periodic heap compaction that keeps the queue at
+       O(live vertices) instead of O(|E|) stale entries.  The native
+       kernel keeps an indexed heap with one entry per live vertex and
+       lowers a neighbour's key in place; both pop the minimum live
+       ``(weight, id)`` key at every step, so the sequences are equal.
     """
     _init_began = time.perf_counter()
     inc_off, inc_mid, inc_nbr, inc_w = snapshot.incidence()
@@ -365,10 +368,10 @@ def _peel_csr_ids(
     _obs_profile.record("peel_csr_init", "python", time.perf_counter() - _init_began)
 
     # --- native dispatch --------------------------------------------- #
-    # The compiled kernel runs the identical lazy-deletion greedy loop
-    # over the same incidence arrays (see _kernels.c for the bit-identity
-    # argument); when selected it replaces the python loop below and the
-    # flat_incidence() materialisation entirely.
+    # The compiled kernel runs the same greedy loop over the same
+    # incidence arrays with an indexed heap (see _kernels.c for the
+    # bit-identity argument); when selected it replaces the python loop
+    # below and the flat_incidence() materialisation entirely.
     if _native.resolve_kernel(kernel) == "native":
         nk = _native.get_kernels()
         if nk is not None and nk.peel_ok:

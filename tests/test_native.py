@@ -36,11 +36,12 @@ from repro.core.insertion import insert_edge
 from repro.core.state import PeelingState
 from repro.errors import KernelUnavailableError
 from repro.graph.array_graph import ArrayGraph
+from repro.graph.backend import SMALL_DEGREE
 from repro.graph.csr import _ARRAY_FIELDS as CSR_ARRAY_FIELDS
 from repro.graph.csr import freeze_graph
 from repro.native import build as native_build
 from repro.peeling.semantics import dg_semantics, dw_semantics, fraudar_semantics
-from repro.peeling.static import peel, peel_csr
+from repro.peeling.static import peel, peel_csr, peel_csr_ids, peel_subset_csr
 
 from tests.helpers import add_until_compaction, dyadic_weight, random_weighted_edges
 
@@ -114,6 +115,29 @@ def _assert_states_identical(left: PeelingState, right: PeelingState) -> None:
     assert lc.density == rc.density
 
 
+def _step(python_state: PeelingState, native_state: PeelingState, update) -> None:
+    """Apply ``update(state)`` to both states.
+
+    The reorder must visit exactly the same: equal ``ReorderStats``
+    (queued, moved, scanned, edge traversals, islands, re-peeled), then
+    identical sequences.
+    """
+    assert update(python_state) == update(native_state)
+    _assert_states_identical(python_state, native_state)
+
+
+def _tie_heavy_graph(semantics):
+    """The hub input under DG with priors in {0, 1, 2, 3}, plus its unloaded tail.
+
+    Every edge weighs 1, so nearly every queue and heap key ties on
+    weight and only the id orders it.
+    """
+    edges = _hub_edges()
+    rng = random.Random(13)
+    priors = {vid: float(rng.randint(0, 3)) for vid in range(400)}
+    return semantics.materialize(edges[:2000], vertex_priors=priors), edges[2000:]
+
+
 @needs_native
 class TestStaticDifferential:
     @pytest.mark.parametrize("name", ["DG", "DW", "FD"])
@@ -129,6 +153,33 @@ class TestStaticDifferential:
             # With dyadic weights both also agree with the heap peel over
             # the mutable graph, whichever backend holds it.
             _assert_results_identical(python, peel(graph, name))
+
+    def test_tie_heavy_peel_bit_identical(self):
+        snapshot = freeze_graph(_tie_heavy_graph(dg_semantics())[0])
+        _assert_results_identical(
+            peel_csr(snapshot, "DG", kernel="python"),
+            peel_csr(snapshot, "DG", kernel="native"),
+        )
+
+    @pytest.mark.parametrize("name", sorted(SEMANTICS))
+    def test_subset_peel_bit_identical(self, name):
+        """A strict member subset (``k < num_ids``), as the deletion
+        suffix re-peel and the enumeration ranks peel: the heap's slots
+        are indexed by ids that are not all queued."""
+        snapshot = freeze_graph(SEMANTICS[name]().materialize(_hub_edges()))
+        rng = random.Random(29)
+        ids = sorted({0, 3, 6} | set(rng.sample(range(snapshot.num_ids), 130)))
+        python = peel_csr_ids(snapshot, ids, kernel="python")
+        compiled = peel_csr_ids(snapshot, ids, kernel="native")
+        assert len(python[0]) == len(ids) < snapshot.num_ids
+        assert python[0].tolist() == compiled[0].tolist()
+        assert python[1] == compiled[1]
+        assert python[2] == compiled[2]
+        subset = set(snapshot.labels_for(ids))
+        _assert_results_identical(
+            peel_subset_csr(snapshot, subset, name, kernel="python"),
+            peel_subset_csr(snapshot, subset, name, kernel="native"),
+        )
 
     def test_auto_matches_python(self):
         rng = random.Random(9)
@@ -173,9 +224,22 @@ class TestIncrementalDifferential:
         python_state, native_state = self._paired_states(semantics, edges[:split])
         _assert_states_identical(python_state, native_state)
         for src, dst, weight in edges[split:]:
-            insert_edge(python_state, src, dst, weight)
-            insert_edge(native_state, src, dst, weight)
-            _assert_states_identical(python_state, native_state)
+            _step(python_state, native_state, lambda s: insert_edge(s, src, dst, weight))
+
+    def test_tie_heavy_stream(self):
+        """Inserts, a batch and deletes where nearly every key ties."""
+        semantics = dg_semantics()
+        states = []
+        for kernel in ("python", "native"):
+            graph, rest = _tie_heavy_graph(semantics)
+            states.append(PeelingState(graph, semantics, kernel=kernel))
+        python_state, native_state = states
+        _assert_states_identical(python_state, native_state)
+        for src, dst, weight in rest[:100]:
+            _step(python_state, native_state, lambda s: insert_edge(s, src, dst, weight))
+        _step(python_state, native_state, lambda s: insert_batch(s, list(rest[100:300])))
+        for src, dst, _weight in _hub_edges()[:2000:97]:
+            _step(python_state, native_state, lambda s: delete_edges(s, [(src, dst)]))
 
     @settings(
         max_examples=12,
@@ -196,23 +260,48 @@ class TestIncrementalDifferential:
             if action == "insert" and cursor < len(edges):
                 src, dst, weight = edges[cursor]
                 cursor += 1
-                insert_edge(python_state, src, dst, weight)
-                insert_edge(native_state, src, dst, weight)
+                update = lambda s: insert_edge(s, src, dst, weight)
                 live.append((src, dst, weight))
             elif action == "batch":
                 batch = [
                     (rng.randrange(26, 34), rng.randrange(26), dyadic_weight(rng))
                     for _ in range(rng.randint(1, 5))
                 ]
-                insert_batch(python_state, list(batch))
-                insert_batch(native_state, list(batch))
+                update = lambda s: insert_batch(s, list(batch))
                 live.extend(batch)
             elif live:
                 src, dst, _w = live.pop(rng.randrange(len(live)))
                 live = [e for e in live if (e[0], e[1]) != (src, dst)]
-                delete_edges(python_state, [(src, dst)])
-                delete_edges(native_state, [(src, dst)])
-            _assert_states_identical(python_state, native_state)
+                update = lambda s: delete_edges(s, [(src, dst)])
+            else:
+                continue
+            _step(python_state, native_state, update)
+
+    def test_reorder_kernel_refuses_a_second_queue_entry(self):
+        """A sequence listing one id twice would queue it twice: the kernel
+        refuses rather than give the id two heap slots, and still resets
+        the masks it set."""
+        nk = native.get_kernels()
+        no_ids, no_weights = np.empty(0, dtype=np.int32), np.empty(0, dtype=np.float64)
+        runs = np.zeros(1, dtype=np.int64)
+        adjacency = (no_ids, no_weights, runs, runs, no_ids, no_weights, runs, runs)
+        touched, in_queue = np.zeros(1, dtype=bool), np.zeros(1, dtype=bool)
+        with pytest.raises(AssertionError, match="reorder queue invariant: vertex id 0 "):
+            nk.reorder(
+                adjacency,
+                np.ones(1),
+                np.zeros(2, dtype=np.int32),  # order: id 0 at both positions
+                np.ones(2),
+                0,
+                2,
+                np.zeros(1, dtype=np.int64),
+                touched,
+                in_queue,
+                np.zeros(1, dtype=np.int32),
+                np.zeros(1, dtype=np.int64),
+                SMALL_DEGREE,
+            )
+        assert not touched.any() and not in_queue.any()
 
     def test_engine_config_kernel_round_trip(self):
         rng = random.Random(23)
@@ -340,13 +429,9 @@ class TestArrayGraphArena:
         python_state, native_state = states
         _assert_states_identical(python_state, native_state)
         for src, dst, weight in rest[:40]:
-            insert_edge(python_state, src, dst, weight)
-            insert_edge(native_state, src, dst, weight)
-            _assert_states_identical(python_state, native_state)
+            _step(python_state, native_state, lambda s: insert_edge(s, src, dst, weight))
         for src, dst, _weight in rest[:40:7]:
-            delete_edges(python_state, [(src, dst)])
-            delete_edges(native_state, [(src, dst)])
-            _assert_states_identical(python_state, native_state)
+            _step(python_state, native_state, lambda s: delete_edges(s, [(src, dst)]))
 
     @needs_native
     @pytest.mark.parametrize("name", sorted(SEMANTICS))
